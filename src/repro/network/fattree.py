@@ -65,12 +65,14 @@ class FatTreeStats:
         return self.delivered / self.offered if self.offered else 1.0
 
 
-def lca_level(src: int, dst: int) -> int:
+def lca_level(src, dst):
     """Height of the lowest common ancestor of two leaves (1 = their
-    shared parent)."""
-    if src == dst:
-        return 0
-    return (src ^ dst).bit_length()
+    shared parent, 0 for the same leaf); elementwise on arrays.
+
+    It is the bit length of ``src ^ dst``, read off as the binary
+    exponent ``frexp`` returns (exact for fewer than 2**53 leaves).
+    """
+    return np.frexp(np.bitwise_xor(src, dst).astype(np.float64))[1]
 
 
 class FatTree:
@@ -130,15 +132,11 @@ class FatTree:
         self, messages: list[Routed | None]
     ) -> tuple[FatTreeStats, list[Routed]]:
         """Like :meth:`route_round`, but also return the survivors —
-        the messages actually delivered, identified by their ``src``
-        slot.  The event-driven fabric layer needs the identities (one
-        message per leaf per round, so ``src`` is a unique key); the
-        round-synchronous callers keep the stats-only view."""
+        the messages actually delivered, in leaf order."""
         if len(messages) != self.leaves:
             raise ConfigurationError(
                 f"expected {self.leaves} slots, got {len(messages)}"
             )
-        stats = FatTreeStats()
         live: list[Routed] = []
         for i, routed in enumerate(messages):
             if routed is None:
@@ -147,47 +145,55 @@ class FatTree:
                 raise ConfigurationError(f"message in slot {i} claims src {routed.src}")
             if not 0 <= routed.dst < self.leaves:
                 raise ConfigurationError(f"bad destination {routed.dst}")
-            stats.offered += 1
             live.append(routed)
+        stats, alive = self.route_arrays(
+            np.array([r.src for r in live], dtype=np.int64),
+            np.array([r.dst for r in live], dtype=np.int64),
+        )
+        return stats, [r for r, ok in zip(live, alive) if ok]
 
-        # Messages whose LCA is at level d leave the up path there.
+    def route_arrays(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[FatTreeStats, np.ndarray]:
+        """Route one round given as parallel arrays: one message per
+        leaf in ``src`` (distinct leaves), bound for ``dst``.  Returns
+        the stats and a per-message survival mask.
+
+        Messages whose LCA is at level d leave the up path there.  At
+        every level, each contended subtree (more rising messages than
+        up-link capacity) is one row of a single ``setup_batch`` call on
+        the level's concentrator; a row's input slot is the message's
+        leaf offset within the subtree.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        stats = FatTreeStats(offered=len(src))
+        alive = np.ones(len(src), dtype=bool)
+        lca = lca_level(src, dst)
         for d in range(1, self.height):
             cap = self.capacity[d]
-            survivors: list[Routed] = []
-            # Group the messages still ascending through level d by
-            # their level-d subtree (top bits of src).
-            groups: dict[int, list[Routed]] = {}
-            for msg in live:
-                if lca_level(msg.src, msg.dst) > d:
-                    groups.setdefault(msg.src >> d, []).append(msg)
-                else:
-                    survivors.append(msg)  # already turned downward
-            dropped_here = 0
-            for subtree, contenders in groups.items():
-                n = 1 << d  # wires up from this subtree's leaves
-                if len(contenders) <= cap or cap >= n:
-                    survivors.extend(contenders)
-                    continue
-                switch = self._switch(n, min(cap, n))
-                valid = np.zeros(n, dtype=bool)
-                slot_of = {}
-                base = subtree << d
-                for msg in contenders:
-                    slot = msg.src - base
-                    valid[slot] = True
-                    slot_of[slot] = msg
-                routing = switch.setup(valid)
-                for slot, msg in slot_of.items():
-                    if routing.input_to_output[slot] >= 0:
-                        survivors.append(msg)
-                    else:
-                        dropped_here += 1
-            if dropped_here:
-                stats.dropped_per_level[d] = dropped_here
-            live = survivors
-
-        stats.delivered = len(live)
-        return stats, live
+            width = 1 << d  # wires up from one level-d subtree's leaves
+            if cap >= width:
+                continue
+            rising = np.flatnonzero(alive & (lca > d))
+            if len(rising) <= cap:
+                continue
+            subtree = src[rising] >> d
+            hot = np.bincount(subtree, minlength=self.leaves >> d) > cap
+            contend = rising[hot[subtree]]
+            if not len(contend):
+                continue
+            rows = (np.cumsum(hot) - 1)[src[contend] >> d]
+            slots = src[contend] & (width - 1)
+            valid = np.zeros((int(hot.sum()), width), dtype=bool)
+            valid[rows, slots] = True
+            io = self._switch(width, cap).setup_batch(valid).input_to_output
+            lost = contend[io[rows, slots] < 0]
+            if len(lost):
+                alive[lost] = False
+                stats.dropped_per_level[d] = len(lost)
+        stats.delivered = int(np.count_nonzero(alive))
+        return stats, alive
 
 
 def universal_capacity(height: int, base: int = 2) -> Callable[[int], int]:

@@ -26,7 +26,10 @@ head-to-head study.
 
 from repro.network.flows.events import Event, EventQueue, SimClock
 from repro.network.flows.fabric import (
-    Cell,
+    ABSORBED,
+    BLOCKED,
+    DELIVERED,
+    REJECTED,
     ConcentratorFabric,
     FabricStage,
     FatTreeFabric,
@@ -49,7 +52,10 @@ from repro.network.flows.workload import (
 )
 
 __all__ = [
-    "Cell",
+    "ABSORBED",
+    "BLOCKED",
+    "DELIVERED",
+    "REJECTED",
     "CompareReport",
     "ConcentratorFabric",
     "Event",

@@ -1,20 +1,23 @@
 """Pluggable fabric stages for the event-driven flow simulator.
 
-A fabric stage is the thing cells contend against once per cycle: the
-simulator offers at most one :class:`Cell` per ingress port and the
-stage classifies each offered cell into one of three fates —
+A fabric stage is the thing cells contend against once per cycle.  The
+simulator offers at most one cell per ingress port, as parallel arrays
+(``src`` in increasing port order, ``dst``, and ``flow`` — the id of the
+cell's flow), and the stage returns one fate per offered cell:
 
-* **delivered** — the cell won a path and leaves the fabric;
-* **rejected** — the cell lost the contention (a real loss: the
+* :data:`DELIVERED` — the cell won a path and leaves the fabric;
+* :data:`REJECTED` — the cell lost the contention (a real loss: the
   congestion model decides whether to retransmit it);
-* **blocked** — the fabric could not even consider the cell this cycle
-  (a rotor waiting for its slot); blocked cells re-queue for a later
-  cycle with no congestion penalty, because nothing was dropped.
+* :data:`BLOCKED` — the fabric could not even consider the cell this
+  cycle (a rotor waiting for its slot); blocked cells re-queue for a
+  later cycle with no congestion penalty, because nothing was dropped;
+* :data:`ABSORBED` — the stage now holds the cell in a buffer (the
+  knockout model's output FIFOs).
 
-A stage may also hold cells *in flight* (the knockout model's output
-FIFOs): those cells appear in a later cycle's ``delivered`` list, and
-:meth:`FabricStage.in_flight` exposes the count so flow conservation
-can be checked at any instant.
+An absorbed cell leaves the fabric in a later cycle: it comes back in
+that cycle's :attr:`StageOutcome.surfaced` array (its flow id), and
+:meth:`FabricStage.in_flight` exposes the number held so flow
+conservation can be checked at any instant.
 
 Four stages cover the head-to-head study:
 
@@ -32,18 +35,17 @@ Four stages cover the head-to-head study:
   drained one cell per cycle.
 * :class:`FatTreeFabric` — the binary fat-tree up-path of
   :mod:`repro.network.fattree`, survivors per cycle via
-  :meth:`~repro.network.fattree.FatTree.route_round_detailed`.
+  :meth:`~repro.network.fattree.FatTree.route_arrays`.
 * :class:`RotorFabric` — a rotor/optical round-robin partition
-  baseline: each cycle port i is wired to one destination; a cell
-  whose destination is not currently wired waits (blocked), one whose
-  slot is up always delivers.  No contention, no loss — the cost is
-  latency.
+  baseline: each slot wires every port to one destination (a fixed
+  matching); a cell whose destination is not currently wired waits
+  (blocked), one whose slot is up always delivers.  No contention, no
+  loss — the cost is latency.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,36 +53,31 @@ import numpy as np
 from repro import obs
 from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
-from repro.messages.message import Message
-from repro.network.fattree import FatTree, Routed, universal_capacity
+from repro.network.fattree import FatTree, universal_capacity
 from repro.switches.base import ConcentratorSwitch
 from repro.switches.perfect import PerfectConcentrator
 from repro.switches.registry import build_switch
 
+#: The fates :meth:`FabricStage.step` assigns, one per offered cell
+#: (``DELIVERED`` is 0, so an all-delivered cycle is ``not fate.any()``).
+DELIVERED, REJECTED, BLOCKED, ABSORBED = 0, 1, 2, 3
 
-@dataclass(frozen=True)
-class Cell:
-    """One fixed-size unit of a flow in flight: cell ``index`` of flow
-    ``flow_id``, from ingress ``src`` toward egress ``dst``."""
-
-    flow_id: int
-    src: int
-    dst: int
-    index: int
+_NO_FLOWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
 class StageOutcome:
     """What one fabric cycle did with the offered (and buffered) cells.
 
-    ``faulted`` counts the subset of ``rejected`` killed by flaky input
-    pins before reaching the switch — loss charged to hardware, not
-    contention.
+    ``fate[i]`` is offered cell i's fate.  ``surfaced`` holds the flow
+    ids of cells absorbed in an earlier cycle that left the fabric in
+    this one (delivered).  ``faulted`` counts the subset of rejected
+    cells killed by flaky input pins before reaching the switch — loss
+    charged to hardware, not contention.
     """
 
-    delivered: list[Cell] = field(default_factory=list)
-    rejected: list[Cell] = field(default_factory=list)
-    blocked: list[Cell] = field(default_factory=list)
+    fate: np.ndarray
+    surfaced: np.ndarray = field(default_factory=lambda: _NO_FLOWS)
     faulted: int = 0
 
 
@@ -92,43 +89,50 @@ class FabricStage(ABC):
     n: int
 
     @abstractmethod
-    def step(self, cells: list[Cell | None]) -> StageOutcome:
-        """Advance one cycle with at most one cell per ingress port."""
+    def step(
+        self, src: np.ndarray, dst: np.ndarray, flow: np.ndarray
+    ) -> StageOutcome:
+        """Advance one cycle with the offered cells: at most one per
+        ingress port, ``src`` strictly increasing, ``dst`` and ``flow``
+        parallel to it."""
 
     def in_flight(self) -> int:
         """Cells buffered inside the stage (0 for bufferless stages)."""
         return 0
 
-    def admits(self, src: int, dst: int) -> bool:
-        """Whether a cell src→dst could possibly advance *this* cycle.
+    def admits(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Which cells src→dst could possibly advance *this* cycle.
 
         A VOQ-style scheduling hint: the ingress port skips flows the
         fabric would only block (a rotor whose slot is elsewhere) and
         gives the cycle to one it might serve.  Stages where every cell
         at least contends (everything but the rotor) always admit.
         """
-        return True
+        return np.ones(len(src), dtype=bool)
 
     def describe(self) -> dict:
         return {"name": self.name, "n": self.n}
 
-    def _check(self, cells: list[Cell | None]) -> None:
-        if len(cells) != self.n:
+    def _check(self, src: np.ndarray, dst: np.ndarray, flow: np.ndarray) -> None:
+        if not len(src) == len(dst) == len(flow):
             raise ConfigurationError(
-                f"{self.name}: expected {self.n} ingress slots, got {len(cells)}"
+                f"{self.name}: src, dst and flow must be parallel arrays"
             )
-        for i, cell in enumerate(cells):
-            if cell is None:
-                continue
-            if cell.src != i:
-                raise ConfigurationError(
-                    f"{self.name}: cell of flow {cell.flow_id} in slot {i} "
-                    f"claims src {cell.src}"
-                )
-            if not 0 <= cell.dst < self.n:
-                raise ConfigurationError(
-                    f"{self.name}: bad destination {cell.dst}"
-                )
+        if not len(src):
+            return
+        if (
+            src[0] < 0
+            or src[-1] >= self.n
+            or (len(src) > 1 and (src[1:] <= src[:-1]).any())
+        ):
+            raise ConfigurationError(
+                f"{self.name}: offered cells must come one per ingress port "
+                f"of {self.n}, in port order; got src {src.tolist()}"
+            )
+        if dst.min() < 0 or dst.max() >= self.n:
+            raise ConfigurationError(
+                f"{self.name}: bad destination in {dst.tolist()}"
+            )
 
 
 class ConcentratorFabric(FabricStage):
@@ -146,7 +150,6 @@ class ConcentratorFabric(FabricStage):
         self.name = "concentrator"
         self.n = switch.n
         self.switch = switch
-        self._flaky: tuple = ()
         self._fault_rng = None
         if scenario is not None:
             # Imported lazily: repro.faults imports network modules for
@@ -158,8 +161,11 @@ class ConcentratorFabric(FabricStage):
                 self.switch = FaultySwitch(
                     switch, structural, remap_outputs=remap_outputs
                 )
-            self._flaky = tuple(scenario.flaky_pins())
-            if self._flaky:
+            flaky = scenario.flaky_pins()
+            if flaky:
+                pins, odds = zip(*flaky)
+                self._flaky_pins = np.array(pins, dtype=np.int64)
+                self._flaky_p = np.array(odds, dtype=np.float64)
                 self._fault_rng = default_rng(scenario.seed)
 
     def describe(self) -> dict:
@@ -168,37 +174,32 @@ class ConcentratorFabric(FabricStage):
         out["switch"] = type(self.switch).__name__
         return out
 
-    def step(self, cells: list[Cell | None]) -> StageOutcome:
-        self._check(cells)
-        valid = np.array([cell is not None for cell in cells], dtype=bool)
-        outcome = StageOutcome()
+    def step(self, src, dst, flow) -> StageOutcome:
+        self._check(src, dst, flow)
+        valid = np.zeros(self.n, dtype=bool)
+        valid[src] = True
         effective = valid
-        garbled = np.zeros(self.n, dtype=bool)
-        if self._flaky:
-            # Same semantics as SwitchSimulation._flip_flaky: a flip on
-            # an occupied pin garbles the cell before the switch sees
-            # it; a flip on an idle pin raises a ghost that occupies
-            # capacity but delivers nothing.
+        garbled = None
+        if self._fault_rng is not None:
+            # Same semantics as SwitchSimulation._flip_flaky: one draw
+            # per flaky pin per cycle; a flip on an occupied pin garbles
+            # the cell before the switch sees it, a flip on an idle pin
+            # raises a ghost that occupies capacity but delivers nothing.
+            flips = self._flaky_pins[
+                self._fault_rng.random(len(self._flaky_pins)) < self._flaky_p
+            ]
             effective = valid.copy()
-            for pin, p in self._flaky:
-                if self._fault_rng.random() >= p:
-                    continue
-                if valid[pin]:
-                    garbled[pin] = True
-                effective[pin] = not valid[pin]
-        routing = self.switch.setup_batch(effective[None, :])
-        io = routing.input_to_output[0]
-        for i, cell in enumerate(cells):
-            if cell is None:
-                continue
-            if garbled[i]:
-                outcome.rejected.append(cell)
-                outcome.faulted += 1
-            elif io[i] >= 0:
-                outcome.delivered.append(cell)
-            else:
-                outcome.rejected.append(cell)
-        return outcome
+            effective[flips] = ~valid[flips]
+            garbled = np.zeros(self.n, dtype=bool)
+            garbled[flips] = valid[flips]
+        io = self.switch.setup_batch(effective[None, :]).input_to_output[0]
+        fate = np.where(io[src] >= 0, DELIVERED, REJECTED).astype(np.int8)
+        faulted = 0
+        if garbled is not None:
+            hit = garbled[src]
+            fate[hit] = REJECTED
+            faulted = int(np.count_nonzero(hit))
+        return StageOutcome(fate, faulted=faulted)
 
 
 class KnockoutFabric(FabricStage):
@@ -206,10 +207,11 @@ class KnockoutFabric(FabricStage):
 
     Per cycle, the cells bound for egress ``o`` contend through an
     n-to-L concentrator (L = ``lanes``, the knockout ratio); winners
-    enter egress ``o``'s FIFO of depth ``fifo_depth``, losers and FIFO
-    overflow are rejected.  Every non-empty FIFO then transmits one
-    cell — those are the cycle's deliveries, so a cell's fabric latency
-    is its queueing delay.
+    enter egress ``o``'s FIFO of depth ``fifo_depth`` in port order,
+    losers and FIFO overflow are rejected.  Every non-empty FIFO then
+    transmits one cell — those are the cycle's deliveries, so a cell's
+    fabric latency is its queueing delay.  The FIFOs are one ring
+    buffer of flow ids per egress.
     """
 
     def __init__(self, n: int, *, lanes: int = 4, fifo_depth: int = 16,
@@ -226,7 +228,9 @@ class KnockoutFabric(FabricStage):
         self.fifo_depth = fifo_depth
         factory = concentrator_factory or PerfectConcentrator
         self._picker = factory(n, self.lanes) if self.lanes < n else None
-        self._fifos: list[deque[Cell]] = [deque() for _ in range(n)]
+        self._ring = np.zeros((n, fifo_depth), dtype=np.int64)
+        self._head = np.zeros(n, dtype=np.int64)
+        self._held = np.zeros(n, dtype=np.int64)
 
     def describe(self) -> dict:
         out = super().describe()
@@ -235,52 +239,60 @@ class KnockoutFabric(FabricStage):
         return out
 
     def in_flight(self) -> int:
-        return sum(len(f) for f in self._fifos)
+        return int(self._held.sum())
 
-    def step(self, cells: list[Cell | None]) -> StageOutcome:
-        self._check(cells)
-        outcome = StageOutcome()
-        groups: dict[int, list[Cell]] = {}
-        for cell in cells:
-            if cell is not None:
-                groups.setdefault(cell.dst, []).append(cell)
-        for dst, contenders in sorted(groups.items()):
-            if self._picker is not None and len(contenders) > self.lanes:
-                valid = np.zeros(self.n, dtype=bool)
-                by_src = {}
-                for cell in contenders:
-                    valid[cell.src] = True
-                    by_src[cell.src] = cell
-                io = self._picker.setup(valid).input_to_output
-                winners = [by_src[s] for s in sorted(by_src) if io[s] >= 0]
-                outcome.rejected.extend(
-                    by_src[s] for s in sorted(by_src) if io[s] < 0
-                )
-            else:
-                winners = contenders
-            fifo = self._fifos[dst]
-            for cell in winners:
-                if len(fifo) < self.fifo_depth:
-                    fifo.append(cell)
-                else:
-                    outcome.rejected.append(cell)
-        for fifo in self._fifos:
-            if fifo:
-                outcome.delivered.append(fifo.popleft())
+    def step(self, src, dst, flow) -> StageOutcome:
+        self._check(src, dst, flow)
+        fate = np.full(len(src), ABSORBED, dtype=np.int8)
+        contenders = np.bincount(dst, minlength=self.n)
+        if self._picker is not None and contenders.max(initial=0) > self.lanes:
+            # Every over-subscribed egress is one row of a single
+            # picker call.
+            hot = contenders > self.lanes
+            rows = np.cumsum(hot) - 1
+            cells = np.flatnonzero(hot[dst])
+            row, port = rows[dst[cells]], src[cells]
+            valid = np.zeros((int(hot.sum()), self.n), dtype=bool)
+            valid[row, port] = True
+            io = self._picker.setup_batch(valid).input_to_output
+            fate[cells[io[row, port] < 0]] = REJECTED
+        # Winners enter their egress FIFO in port order while it has room.
+        win = np.flatnonzero(fate == ABSORBED)
+        win = win[np.argsort(dst[win], kind="stable")]
+        egress = dst[win]
+        first = np.searchsorted(egress, egress)
+        rank = np.arange(len(win)) - first
+        fits = rank < self.fifo_depth - self._held[egress]
+        fate[win[~fits]] = REJECTED
+        win, egress, rank = win[fits], egress[fits], rank[fits]
+        slot = (self._head[egress] + self._held[egress] + rank) % self.fifo_depth
+        self._ring[egress, slot] = flow[win]
+        was_empty = self._held == 0
+        self._held += np.bincount(egress, minlength=self.n)
+        # Drain: every non-empty FIFO transmits its head.  A FIFO that
+        # was empty before admission transmits this cycle's first
+        # winner, which is then delivered rather than absorbed.
+        busy = np.flatnonzero(self._held)
+        sent = self._ring[busy, self._head[busy]]
+        self._head[busy] = (self._head[busy] + 1) % self.fifo_depth
+        self._held[busy] -= 1
+        fate[win[(rank == 0) & was_empty[egress]]] = DELIVERED
         # The occupancy curve is the knockout story (winners queue,
         # losers knock out) — one sample per fabric cycle.
-        obs.series("flows.fifo_depth", fabric=self.name).append(self.in_flight())
-        return outcome
+        reg = obs.get_registry()
+        if reg.enabled:
+            reg.series("flows.fifo_depth", fabric=self.name).append(
+                self.in_flight()
+            )
+        return StageOutcome(fate, surfaced=sent[~was_empty[busy]])
 
 
 class FatTreeFabric(FabricStage):
     """The binary fat-tree up-path as a fabric stage.
 
     Each cycle is one fat-tree round: ascent hops concentrate, losers
-    are rejected, survivors are delivered (descent lossless).  Cell
-    identity comes back through
-    :meth:`~repro.network.fattree.FatTree.route_round_detailed` — one
-    cell per leaf per cycle makes ``src`` a unique key.
+    are rejected, survivors are delivered (descent lossless), via
+    :meth:`~repro.network.fattree.FatTree.route_arrays`.
     """
 
     def __init__(self, n: int, *, capacity_profile=None,
@@ -304,38 +316,22 @@ class FatTreeFabric(FabricStage):
         out["capacity"] = dict(self.tree.capacity)
         return out
 
-    def step(self, cells: list[Cell | None]) -> StageOutcome:
-        self._check(cells)
-        messages: list[Routed | None] = [None] * self.n
-        by_src: dict[int, Cell] = {}
-        for i, cell in enumerate(cells):
-            if cell is None:
-                continue
-            messages[i] = Routed(
-                message=Message.from_int(cell.flow_id % 256, 8),
-                src=i,
-                dst=cell.dst,
-            )
-            by_src[i] = cell
-        _, survivors = self.tree.route_round_detailed(messages)
-        outcome = StageOutcome()
-        alive = {routed.src for routed in survivors}
-        for src in sorted(by_src):
-            (outcome.delivered if src in alive else outcome.rejected).append(
-                by_src[src]
-            )
-        return outcome
+    def step(self, src, dst, flow) -> StageOutcome:
+        self._check(src, dst, flow)
+        _, alive = self.tree.route_arrays(src, dst)
+        return StageOutcome(np.where(alive, DELIVERED, REJECTED).astype(np.int8))
 
 
 class RotorFabric(FabricStage):
     """A rotor/optical round-robin partition baseline.
 
-    At cycle t, port i is wired to destination ``(i + 1 + t) mod n``
-    (the +1 skips the useless self-slot when the rotation passes it).
-    A cell whose destination is wired delivers; every other cell is
-    blocked — it waits, loss-free, for its slot.  This is the one-hop
-    rotor model: full fairness, zero loss, worst-case n−1 cycles of
-    slot latency.
+    Slot s wires port i to destination ``(i + 1 + s) mod n`` (the +1
+    skips the useless self-slot), one fixed matching per slot as in
+    rotor-switch schedules; slot s lasts ``slot_cycles`` cycles, and the
+    n−1 slots repeat.  A cell whose destination is wired delivers; every
+    other cell is blocked — it waits, loss-free, for its slot.  This is
+    the one-hop rotor model: full fairness, zero loss, worst-case n−1
+    slots of latency.
     """
 
     def __init__(self, n: int, *, slot_cycles: int = 1):
@@ -349,32 +345,29 @@ class RotorFabric(FabricStage):
         self.n = n
         self.slot_cycles = slot_cycles
         self._cycle = 0
+        # Slot s's matching is the window [s + 1, s + 1 + n) of this
+        # doubled port ring: switching slots is a slice, not a rebuild.
+        self._ring = np.arange(2 * n) % n
 
     def describe(self) -> dict:
         out = super().describe()
         out["slot_cycles"] = self.slot_cycles
         return out
 
-    def _shift(self) -> int:
-        return 1 + (self._cycle // self.slot_cycles) % (self.n - 1)
+    def matching(self) -> np.ndarray:
+        """The current slot's matching: port i is wired to ``out[i]``."""
+        shift = 1 + (self._cycle // self.slot_cycles) % (self.n - 1)
+        return self._ring[shift:shift + self.n]
 
-    def admits(self, src: int, dst: int) -> bool:
+    def admits(self, src, dst):
         # A cell's own port (dst == src) never needs the fabric.
-        return dst == src or dst == (src + self._shift()) % self.n
+        return (dst == self.matching()[src]) | (dst == src)
 
-    def step(self, cells: list[Cell | None]) -> StageOutcome:
-        self._check(cells)
-        outcome = StageOutcome()
-        shift = self._shift()
+    def step(self, src, dst, flow) -> StageOutcome:
+        self._check(src, dst, flow)
+        fate = np.where(self.admits(src, dst), DELIVERED, BLOCKED)
         self._cycle += 1
-        for i, cell in enumerate(cells):
-            if cell is None:
-                continue
-            if cell.dst == (i + shift) % self.n or cell.dst == i:
-                outcome.delivered.append(cell)
-            else:
-                outcome.blocked.append(cell)
-        return outcome
+        return StageOutcome(fate.astype(np.int8))
 
 
 def fabric_names() -> list[str]:

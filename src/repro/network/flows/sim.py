@@ -28,9 +28,23 @@ Congestion control is TCP-ish per flow:
 * a **blocked** cell (rotor slot wait) is always retried next cycle
   with no penalty: nothing was dropped.
 
-Ports schedule their flows round-robin: after a flow gets the port for
-a cycle, it rotates to the back of the port's queue, so elephants
-cannot starve mice sharing an ingress.
+Ports schedule their flows round-robin: a port scans its queue from the
+front for the first eligible flow (it has cells left, is not backing
+off, and the fabric admits its destination this cycle); that flow and
+every flow scanned before it rotate to the back, so elephants cannot
+starve mice sharing an ingress.  Arrivals join the tail; resolved flows
+leave in place.
+
+The state is struct-of-arrays: one numpy array per per-flow field,
+indexed by flow id, and one array of the queued (arrived, unresolved)
+flow ids.  A cycle makes one masked selection over the queued flows for
+all n ports at once, one :meth:`FabricStage.step` over the offered
+cells as parallel arrays, and vectorized updates from the per-cell
+fates.  A port's queue order is kept as per-flow integer ranks plus a
+per-port *head* rank: the queue is the port's flows with rank above
+the head, then those at or below it, each in rank order.  A pick makes
+the picked flow's rank the head, which is the whole rotation: past the
+fabric's ``admits`` mask, a cycle only touches its eligible flows.
 
 A flow completes when every cell is resolved (delivered or dropped,
 including cells that surfaced later from an in-fabric FIFO); its
@@ -45,7 +59,6 @@ workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable, Sequence
@@ -55,34 +68,21 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.network.flows.events import EventQueue, SimClock
-from repro.network.flows.fabric import Cell, FabricStage
+from repro.network.flows.fabric import (
+    ABSORBED,
+    BLOCKED,
+    DELIVERED,
+    REJECTED,
+    FabricStage,
+)
 from repro.network.flows.workload import FlowSpec
+
+_NO_FLOWS = np.empty(0, dtype=np.int64)
 
 #: AIMD clamp for the per-flow congestion window.
 CWND_MAX = 64.0
 #: Base backoff numerator: a cwnd-1 flow waits this many cycles.
 BACKOFF_BASE = 4.0
-
-
-@dataclass
-class _FlowState:
-    """Mutable per-flow bookkeeping."""
-
-    spec: FlowSpec
-    next_index: int = 0      # next cell of the flow to emit
-    delivered: int = 0
-    dropped: int = 0
-    cwnd: float = 1.0
-    next_ok: float = 0.0     # earliest cycle the flow may transmit
-    finish: float = float("nan")
-
-    @property
-    def resolved(self) -> int:
-        return self.delivered + self.dropped
-
-    @property
-    def done(self) -> bool:
-        return self.resolved >= self.spec.size_cells
 
 
 @dataclass
@@ -164,47 +164,62 @@ class FlowSim:
     checkpoint: Callable[["FlowSim", int], None] | None = None
 
     _queue: EventQueue = field(init=False, repr=False)
-    _states: list[_FlowState] = field(init=False, repr=False)
-    _ports: list[deque[int]] = field(init=False, repr=False)
     _in_fabric: int = field(init=False, default=0)
     _arrived_cells: int = field(init=False, default=0)
     _cycle_scheduled: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         self._queue = EventQueue(clock=self.clock or SimClock())
-        self._states = []
+        n = self.stage.n
         for i, spec in enumerate(self.flows):
             if spec.flow_id != i:
                 raise ConfigurationError(
                     f"flow ids must be dense and ordered; slot {i} holds "
                     f"flow {spec.flow_id}"
                 )
-            if not 0 <= spec.src < self.stage.n:
-                raise ConfigurationError(
-                    f"flow {i}: src {spec.src} outside fabric of width "
-                    f"{self.stage.n}"
-                )
-            self._states.append(_FlowState(spec=spec))
-        self._ports = [deque() for _ in range(self.stage.n)]
+            for end in ("src", "dst"):
+                if not 0 <= getattr(spec, end) < n:
+                    raise ConfigurationError(
+                        f"flow {i}: {end} {getattr(spec, end)} outside "
+                        f"fabric of width {n}"
+                    )
+
+        def column(attr: str, dtype) -> np.ndarray:
+            return np.array([getattr(f, attr) for f in self.flows], dtype=dtype)
+
+        count = len(self.flows)
+        self._src = column("src", np.int64)
+        self._dst = column("dst", np.int64)
+        self._size = column("size_cells", np.int64)
+        self._arrival = column("arrival", np.float64)
+        self._next_index = np.zeros(count, dtype=np.int64)
+        self._delivered = np.zeros(count, dtype=np.int64)
+        self._dropped = np.zeros(count, dtype=np.int64)
+        self._cwnd = np.ones(count, dtype=np.float64)
+        self._next_ok = np.zeros(count, dtype=np.float64)
+        self._finish = np.full(count, np.nan)
+        self._rank = np.zeros(count, dtype=np.int64)
+        self._head = np.zeros(n, dtype=np.int64)
+        self._set_queued(_NO_FLOWS)
+        self._metrics: dict[str, object] = {}
+        # Sort keys of the pick: port-major, then position in the queue.
+        self._wrap = count + 1
+        self._port_stride = 2 * self._wrap
 
     # -- conservation ---------------------------------------------------
 
     def accounting(self) -> dict[str, int]:
         """Cell conservation snapshot: at every instant,
         ``arrived == delivered + dropped + in_fabric + at_source``."""
-        delivered = sum(s.delivered for s in self._states)
-        dropped = sum(s.dropped for s in self._states)
-        at_source = sum(
-            s.spec.size_cells - s.next_index
-            for port in self._ports
-            for s in (self._states[fid] for fid in port)
-        )
+        queued = self._queued
         return {
             "arrived": self._arrived_cells,
-            "delivered": delivered,
-            "dropped": dropped,
+            "delivered": int(self._delivered.sum()),
+            "dropped": int(self._dropped.sum()),
             "in_fabric": self._in_fabric,
-            "at_source": at_source,
+            "at_source": int(
+                (self._size[queued] - self._next_index[queued]).sum()
+            ),
         }
 
     # -- event loop -----------------------------------------------------
@@ -216,7 +231,7 @@ class FlowSim:
             self._cycle_scheduled = True
 
     def _work_pending(self) -> bool:
-        return self._in_fabric > 0 or any(self._ports)
+        return self._in_fabric > 0 or len(self._queued) > 0
 
     def run(self) -> FlowSimResult:
         reg = obs.get_registry()
@@ -226,16 +241,14 @@ class FlowSim:
         }
         cycles = 0
         with reg.span(
-            "flows.run", fabric=self.stage.name, flows=len(self._states)
+            "flows.run", fabric=self.stage.name, flows=len(self.flows)
         ):
-            for state in self._states:
-                self._queue.push(state.spec.arrival, "arrival", state.spec.flow_id)
+            for spec in self.flows:
+                self._queue.push(spec.arrival, "arrival", spec.flow_id)
             while self._queue:
                 event = self._queue.pop()
                 if event.kind == "arrival":
-                    state = self._states[event.payload]
-                    self._ports[state.spec.src].append(state.spec.flow_id)
-                    self._arrived_cells += state.spec.size_cells
+                    self._enqueue(event.payload)
                     self._schedule_cycle()
                 elif event.kind == "cycle":
                     self._cycle_scheduled = False
@@ -254,7 +267,7 @@ class FlowSim:
                     self._queue.popped
                 )
 
-        fct = np.array([s.finish for s in self._states], dtype=np.float64)
+        fct = self._finish.copy()
         completed = int(np.count_nonzero(~np.isnan(fct)))
         events = (
             self._queue.popped
@@ -262,7 +275,7 @@ class FlowSim:
         )
         return FlowSimResult(
             fabric=self.stage.name,
-            flows=len(self._states),
+            flows=len(self.flows),
             completed=completed,
             offered_cells=counts["offered"],
             delivered_cells=counts["delivered"],
@@ -274,123 +287,173 @@ class FlowSim:
             fct=fct,
         )
 
-    def _pick(self, port: deque[int], now: float) -> Cell | None:
-        """The port's cell for this cycle: first eligible flow in
-        round-robin order; the chosen flow rotates to the back."""
-        for _ in range(len(port)):
-            state = self._states[port[0]]
-            if (
-                state.next_ok <= now
-                and state.next_index < state.spec.size_cells
-                and self.stage.admits(state.spec.src, state.spec.dst)
-            ):
-                port.rotate(-1)
-                return Cell(
-                    flow_id=state.spec.flow_id,
-                    src=state.spec.src,
-                    dst=state.spec.dst,
-                    index=state.next_index,
-                )
-            port.rotate(-1)
-        return None
+    def _set_queued(self, queued: np.ndarray) -> None:
+        """Replace the queued set, with its per-flow columns cached
+        alongside (they only change when a flow arrives or resolves)."""
+        self._queued = queued
+        self._queued_src = self._src[queued]
+        self._queued_dst = self._dst[queued]
+        self._queued_size = self._size[queued]
 
-    def _resolve(self, state: _FlowState, now: float) -> None:
-        if state.done and np.isnan(state.finish):
-            state.finish = now - state.spec.arrival + 1.0
-            try:
-                self._ports[state.spec.src].remove(state.spec.flow_id)
-            except ValueError:
-                pass  # already retired
+    def queue(self, port: int) -> np.ndarray:
+        """The flow ids queued at ``port``, front first."""
+        mine = self._queued[self._queued_src == port]
+        rank = self._rank[mine]
+        return mine[np.lexsort((rank, rank <= self._head[port]))]
+
+    def _enqueue(self, flow: int) -> None:
+        """Flow ``flow`` arrives: it joins its port's queue at the tail.
+
+        The port's queue is renumbered 0..k−1 in its current order and
+        the arrival takes rank k and becomes the head, so the queue now
+        reads in plain rank order with the arrival last.
+        """
+        port = self._src[flow]
+        mine = self.queue(port)
+        self._rank[mine] = np.arange(len(mine))
+        self._rank[flow] = self._head[port] = len(mine)
+        self._set_queued(np.append(self._queued, flow))
+        self._arrived_cells += int(self._size[flow])
+
+    def _offer(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each port's cell for this cycle: the first eligible flow in
+        its queue order, which becomes the port's head.  Returns the
+        picked flow ids and their ports, in port order."""
+        # The fabric's hint first: on a rotor it leaves only the flows
+        # whose slot is up, so the rest of the pick is over a handful.
+        index = self.stage.admits(self._queued_src, self._queued_dst).nonzero()[0]
+        picked = self._queued[index]
+        ready = (self._next_ok[picked] <= now) & (
+            self._next_index[picked] < self._queued_size[index]
+        )
+        index = index[ready]
+        picked = picked[ready]
+        port = self._queued_src[index]
+        if len(index) > 1:
+            # Port order, and within a port queue order: ranks past the
+            # head first.  The first flow of each port wins.
+            rank = self._rank[picked]
+            order = np.argsort(
+                port * self._port_stride
+                + rank
+                + self._wrap * (rank <= self._head[port])
+            )
+            port = port[order]
+            behind = port[1:] == port[:-1]
+            if behind.any():
+                first = np.concatenate(([True], ~behind))
+                order = order[first]
+                port = port[first]
+            picked = picked[order]
+        self._head[port] = self._rank[picked]
+        return picked, port
 
     def _run_cycle(self, now: float, counts: dict[str, int], reg) -> None:
-        offered: dict[tuple[int, int], Cell] = {}
-        slots: list[Cell | None] = [None] * self.stage.n
-        for i, port in enumerate(self._ports):
-            cell = self._pick(port, now)
-            if cell is not None:
-                slots[i] = cell
-                offered[(cell.flow_id, cell.index)] = cell
-        counts["offered"] += len(offered)
+        flow, port = self._offer(now)
+        outcome = self.stage.step(port, self._dst[flow], flow)
+        fate = outcome.fate
+        if not fate.any():  # the common case: every offered cell delivered
+            tally = [len(flow), 0, 0, 0]
+        else:
+            tally = np.bincount(fate, minlength=4).tolist()
 
-        outcome = self.stage.step(slots)
+        def having(which: int) -> np.ndarray:
+            if tally[which] == len(flow):
+                return flow
+            return flow[fate == which] if tally[which] else _NO_FLOWS
+
+        sent, lost, held = having(DELIVERED), having(REJECTED), having(ABSORBED)
+        surfaced = outcome.surfaced
+        got = np.concatenate((sent, surfaced)) if len(surfaced) else sent
+        counts["offered"] += len(flow)
         counts["faulted"] += outcome.faulted
+        counts["delivered"] += len(got)
+        counts["blocked"] += tally[BLOCKED]
 
-        for cell in outcome.delivered:
-            state = self._states[cell.flow_id]
-            key = (cell.flow_id, cell.index)
-            if key in offered:
-                del offered[key]
-                state.next_index += 1
-            else:
-                self._in_fabric -= 1  # surfaced from an in-fabric FIFO
-            state.delivered += 1
-            state.cwnd = min(CWND_MAX, state.cwnd + 1.0)
-            counts["delivered"] += 1
-            self._resolve(state, now)
+        # A flow has at most one cell in ``got`` and one in ``lost``
+        # (knockout can deliver a FIFO cell and reject the new one in
+        # the same cycle); deliveries apply first.
+        if len(sent):
+            self._next_index[sent] += 1
+        if len(got):
+            self._in_fabric -= len(surfaced)
+            self._delivered[got] += 1
+            self._cwnd[got] = np.minimum(CWND_MAX, self._cwnd[got] + 1.0)
+        resolved = got
+        if len(lost) and self.backpressure:
+            # Keep the cell; back off harder the smaller the window.
+            cwnd = np.maximum(1.0, self._cwnd[lost] / 2.0)
+            self._cwnd[lost] = cwnd
+            self._next_ok[lost] = now + np.maximum(
+                1.0, np.round(BACKOFF_BASE / cwnd)
+            )
+        elif len(lost):
+            self._next_index[lost] += 1
+            self._dropped[lost] += 1
+            counts["dropped"] += len(lost)
+            resolved = np.concatenate((got, lost))
+        if len(held):
+            # Cells the stage absorbed (knockout FIFOs): the fabric owns
+            # them now; they resurface in a later cycle's ``surfaced``.
+            self._next_index[held] += 1
+            self._in_fabric += len(held)
 
-        for cell in outcome.rejected:
-            state = self._states[cell.flow_id]
-            del offered[(cell.flow_id, cell.index)]
-            if self.backpressure:
-                # Keep the cell; back off harder the smaller the window.
-                state.cwnd = max(1.0, state.cwnd / 2.0)
-                state.next_ok = now + max(1.0, round(BACKOFF_BASE / state.cwnd))
-            else:
-                state.next_index += 1
-                state.dropped += 1
-                counts["dropped"] += 1
-                self._resolve(state, now)
-
-        for cell in outcome.blocked:
-            del offered[(cell.flow_id, cell.index)]
-            counts["blocked"] += 1
-
-        # Cells the stage absorbed (knockout FIFOs): the fabric owns
-        # them now; they resurface in a later cycle's delivered list.
-        for cell in offered.values():
-            self._states[cell.flow_id].next_index += 1
-            self._in_fabric += 1
+        if len(resolved):
+            unresolved = self._size[resolved] - self._delivered[resolved]
+            if not self.backpressure:
+                unresolved -= self._dropped[resolved]
+            done = resolved[unresolved == 0]
+            if len(done):
+                self._finish[done] = now - self._arrival[done] + 1.0
+                queued = self._queued
+                self._set_queued(queued[np.isnan(self._finish[queued])])
 
         if reg.enabled:
-            reg.counter("flows.cells_offered", fabric=self.stage.name).inc(
-                int(np.count_nonzero([s is not None for s in slots]))
+            self._record(
+                reg, now, offered=len(flow), delivered=len(got),
+                lost=len(lost), blocked=tally[BLOCKED],
+                faulted=outcome.faulted,
             )
-            reg.counter("flows.cells_delivered", fabric=self.stage.name).inc(
-                len(outcome.delivered)
-            )
-            if outcome.rejected and not self.backpressure:
-                reg.counter("flows.cells_dropped", fabric=self.stage.name).inc(
-                    len(outcome.rejected)
-                )
-            if outcome.blocked:
-                reg.counter("flows.cells_blocked", fabric=self.stage.name).inc(
-                    len(outcome.blocked)
-                )
-            if outcome.faulted:
-                reg.counter("flows.cells_faulted", fabric=self.stage.name).inc(
-                    outcome.faulted
-                )
-            # Per-cycle timeseries: the shape of congestion over the
-            # run, not just its end-of-run totals.  The fabric cycle
-            # index is the time axis (deterministic; see
-            # repro.obs.timeseries for the decimation contract).
-            fabric = self.stage.name
-            reg.series("flows.queue_depth", fabric=fabric).append(
-                self.stage.in_flight(), t=now
-            )
-            reg.series("flows.inflight_cells", fabric=fabric).append(
-                self._in_fabric, t=now
-            )
-            reg.series("flows.cwnd_mean", fabric=fabric).append(
-                sum(s.cwnd for s in self._states) / len(self._states)
-                if self._states
-                else 0.0,
-                t=now,
-            )
-            reg.series("flows.delivery_rate", fabric=fabric).append(
-                len(outcome.delivered), t=now
-            )
-            reg.series("flows.drop_rate", fabric=fabric).append(
-                len(outcome.rejected) if not self.backpressure else 0,
-                t=now,
-            )
+
+    def _record(self, reg, now, *, offered, delivered, lost, blocked,
+                faulted) -> None:
+        fabric = self.stage.name
+        if not self._metrics:
+            # The every-cycle metrics, looked up on the first cycle
+            # rather than on each one.
+            self._metrics = {
+                "offered": reg.counter("flows.cells_offered", fabric=fabric),
+                "delivered": reg.counter("flows.cells_delivered", fabric=fabric),
+                "queue": reg.series("flows.queue_depth", fabric=fabric),
+                "inflight": reg.series("flows.inflight_cells", fabric=fabric),
+                "cwnd": reg.series("flows.cwnd_mean", fabric=fabric),
+                "rate": reg.series("flows.delivery_rate", fabric=fabric),
+                "drops": reg.series("flows.drop_rate", fabric=fabric),
+            }
+        metrics = self._metrics
+        metrics["offered"].inc(offered)
+        metrics["delivered"].inc(delivered)
+        if lost and not self.backpressure:
+            reg.counter("flows.cells_dropped", fabric=fabric).inc(lost)
+        if blocked:
+            reg.counter("flows.cells_blocked", fabric=fabric).inc(blocked)
+        if faulted:
+            reg.counter("flows.cells_faulted", fabric=fabric).inc(faulted)
+        # Per-cycle timeseries: the shape of congestion over the run,
+        # not just its end-of-run totals.  The fabric cycle index is the
+        # time axis (deterministic; see repro.obs.timeseries for the
+        # decimation contract).
+        metrics["queue"].append(self.stage.in_flight(), t=now)
+        metrics["inflight"].append(self._in_fabric, t=now)
+        # The mean window is Python's sum in flow order (the exact
+        # rounding the series records), taken only for samples the
+        # series keeps.
+        cwnd = metrics["cwnd"]
+        cwnd.append(
+            sum(self._cwnd.tolist()) / len(self._cwnd)
+            if cwnd.keeps_next and len(self._cwnd)
+            else 0.0,
+            t=now,
+        )
+        metrics["rate"].append(delivered, t=now)
+        metrics["drops"].append(lost if not self.backpressure else 0, t=now)

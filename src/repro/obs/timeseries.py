@@ -63,6 +63,13 @@ class Series:
         self.count += 1
 
     @property
+    def keeps_next(self) -> bool:
+        """Whether the next :meth:`append` is retained.  A producer whose
+        sample is costly can offer a placeholder when it is not: a
+        decimated sample only advances ``count``."""
+        return self.count % self.stride == 0
+
+    @property
     def last(self) -> float | None:
         return self.points[-1][1] if self.points else None
 

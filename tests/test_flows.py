@@ -17,7 +17,9 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.network.flows import (
-    Cell,
+    BLOCKED,
+    DELIVERED,
+    REJECTED,
     ConcentratorFabric,
     EventQueue,
     FatTreeFabric,
@@ -145,33 +147,51 @@ class TestWorkload:
             one_shot_flows([1, 1], dsts=[0])
 
 
-def _cells(present: dict[int, tuple[int, int]], n: int) -> list[Cell | None]:
-    """Ingress slots from {src: (flow_id, dst)} (all cell index 0)."""
-    slots: list[Cell | None] = [None] * n
-    for src, (fid, dst) in present.items():
-        slots[src] = Cell(flow_id=fid, src=src, dst=dst, index=0)
-    return slots
+def _cells(present: dict[int, tuple[int, int]]):
+    """Offered cells from {src: (flow_id, dst)}, as the parallel
+    ``(src, dst, flow)`` arrays a stage steps on (port order)."""
+    ports = sorted(present)
+    return (
+        np.array(ports, dtype=np.int64),
+        np.array([present[p][1] for p in ports], dtype=np.int64),
+        np.array([present[p][0] for p in ports], dtype=np.int64),
+    )
+
+
+_IDLE = _cells({})
+
+
+def _flows_with(outcome, cells, fate) -> list[int]:
+    return cells[2][outcome.fate == fate].tolist()
+
+
+def _count(outcome, fate) -> int:
+    return int(np.count_nonzero(outcome.fate == fate))
 
 
 class TestConcentratorFabric:
     def test_under_capacity_all_delivered(self):
         stage = ConcentratorFabric(PerfectConcentrator(8, 4))
-        outcome = stage.step(_cells({0: (0, 0), 3: (1, 3), 7: (2, 7)}, 8))
-        assert len(outcome.delivered) == 3 and not outcome.rejected
+        outcome = stage.step(*_cells({0: (0, 0), 3: (1, 3), 7: (2, 7)}))
+        assert _count(outcome, DELIVERED) == 3 and not _count(outcome, REJECTED)
 
     def test_over_capacity_rejects_the_excess(self):
         stage = ConcentratorFabric(PerfectConcentrator(8, 4))
-        slots = _cells({i: (i, i) for i in range(8)}, 8)
-        outcome = stage.step(slots)
-        assert len(outcome.delivered) == 4
-        assert len(outcome.rejected) == 4
+        outcome = stage.step(*_cells({i: (i, i) for i in range(8)}))
+        assert _count(outcome, DELIVERED) == 4
+        assert _count(outcome, REJECTED) == 4
         assert outcome.faulted == 0
 
-    def test_slot_src_mismatch_raises(self):
+    def test_two_cells_on_one_port_raise(self):
         stage = ConcentratorFabric(PerfectConcentrator(4, 2))
-        bad = [None, Cell(flow_id=0, src=0, dst=1, index=0), None, None]
+        src = np.array([1, 1], dtype=np.int64)
         with pytest.raises(ConfigurationError):
-            stage.step(bad)
+            stage.step(src, np.array([0, 2]), np.array([0, 1]))
+
+    def test_bad_destination_raises(self):
+        stage = ConcentratorFabric(PerfectConcentrator(4, 2))
+        with pytest.raises(ConfigurationError):
+            stage.step(*_cells({1: (0, 4)}))
 
     def test_describe_names_the_switch(self):
         stage = ConcentratorFabric(PerfectConcentrator(4, 2))
@@ -182,26 +202,28 @@ class TestConcentratorFabric:
 class TestKnockoutFabric:
     def test_accepted_cells_queue_then_drain(self):
         stage = KnockoutFabric(4, lanes=2, fifo_depth=4)
-        first = stage.step(_cells({0: (0, 2), 1: (1, 2)}, 4))
+        first = stage.step(*_cells({0: (0, 2), 1: (1, 2)}))
         # Both contenders fit the two lanes; the FIFO transmits one.
-        assert len(first.delivered) == 1 and not first.rejected
+        assert _count(first, DELIVERED) == 1 and not _count(first, REJECTED)
         assert stage.in_flight() == 1
-        second = stage.step([None] * 4)
-        assert len(second.delivered) == 1 and stage.in_flight() == 0
+        second = stage.step(*_IDLE)
+        assert second.surfaced.tolist() == [1] and stage.in_flight() == 0
 
     def test_contention_beyond_lanes_knocks_out(self):
         stage = KnockoutFabric(4, lanes=1, fifo_depth=8)
-        outcome = stage.step(_cells({0: (0, 3), 1: (1, 3), 2: (2, 3)}, 4))
-        assert len(outcome.rejected) == 2
-        assert len(outcome.delivered) + stage.in_flight() == 1
+        outcome = stage.step(*_cells({0: (0, 3), 1: (1, 3), 2: (2, 3)}))
+        assert _count(outcome, REJECTED) == 2
+        assert _count(outcome, DELIVERED) + stage.in_flight() == 1
 
     def test_full_fifo_overflows(self):
-        stage = KnockoutFabric(4, lanes=1, fifo_depth=1)
-        stage._fifos[2].append(Cell(flow_id=9, src=0, dst=2, index=0))
-        outcome = stage.step(_cells({1: (0, 2)}, 4))
-        # The drain frees a slot only after admission, so the arrival
-        # bounces off the still-full FIFO.
-        assert len(outcome.rejected) == 1 and len(outcome.delivered) == 1
+        stage = KnockoutFabric(4, lanes=2, fifo_depth=2)
+        stage.step(*_cells({0: (8, 2), 3: (9, 2)}))
+        assert stage.in_flight() == 1  # flow 9's cell waits in egress 2
+        outcome = stage.step(*_cells({0: (0, 2), 1: (1, 2)}))
+        # The drain frees a slot only after admission, so the second
+        # arrival bounces off the then-full FIFO.
+        assert _flows_with(outcome, _cells({0: (0, 2), 1: (1, 2)}), REJECTED) == [1]
+        assert outcome.surfaced.tolist() == [9] and stage.in_flight() == 1
 
     def test_bad_params_raise(self):
         for kwargs in ({"lanes": 0}, {"fifo_depth": 0}):
@@ -213,26 +235,28 @@ class TestRotorFabric:
     def test_only_the_wired_destination_delivers(self):
         stage = RotorFabric(4)
         # Cycle 0 wires i -> i+1.
-        outcome = stage.step(_cells({0: (0, 1), 1: (1, 3)}, 4))
-        assert [c.flow_id for c in outcome.delivered] == [0]
-        assert [c.flow_id for c in outcome.blocked] == [1]
+        cells = _cells({0: (0, 1), 1: (1, 3)})
+        outcome = stage.step(*cells)
+        assert _flows_with(outcome, cells, DELIVERED) == [0]
+        assert _flows_with(outcome, cells, BLOCKED) == [1]
 
     def test_admits_tracks_the_rotation(self):
         stage = RotorFabric(4)
-        assert stage.admits(0, 1) and not stage.admits(0, 2)
-        stage.step([None] * 4)
-        assert stage.admits(0, 2) and not stage.admits(0, 1)
+        src, dst = np.array([0, 0]), np.array([1, 2])
+        assert stage.admits(src, dst).tolist() == [True, False]
+        stage.step(*_IDLE)
+        assert stage.admits(src, dst).tolist() == [False, True]
 
     def test_self_destination_always_admitted(self):
         stage = RotorFabric(4)
-        assert stage.admits(2, 2)
+        assert stage.admits(np.array([2]), np.array([2])).tolist() == [True]
 
     def test_slot_cycles_holds_the_matching(self):
         stage = RotorFabric(4, slot_cycles=2)
-        stage.step([None] * 4)
-        assert stage.admits(0, 1)  # still slot 0 after one cycle
-        stage.step([None] * 4)
-        assert stage.admits(0, 2)
+        stage.step(*_IDLE)
+        assert stage.matching().tolist() == [1, 2, 3, 0]  # still slot 0
+        stage.step(*_IDLE)
+        assert stage.matching().tolist() == [2, 3, 0, 1]
 
     def test_tiny_n_raises(self):
         with pytest.raises(ConfigurationError):
@@ -246,8 +270,9 @@ class TestFatTreeFabric:
 
     def test_single_cell_survives(self):
         stage = FatTreeFabric(8)
-        outcome = stage.step(_cells({2: (0, 5)}, 8))
-        assert [c.flow_id for c in outcome.delivered] == [0]
+        cells = _cells({2: (0, 5)})
+        outcome = stage.step(*cells)
+        assert _flows_with(outcome, cells, DELIVERED) == [0]
 
 
 class TestBuildFabric:
@@ -282,6 +307,14 @@ class TestFlowSim:
     def test_src_must_fit_the_fabric(self):
         with pytest.raises(ConfigurationError):
             FlowSim(RotorFabric(2), one_shot_flows([1, 1, 1]))
+
+    @pytest.mark.parametrize("name", fabric_names())
+    def test_dst_must_fit_the_fabric(self, name):
+        # Rejected up front: a rotor would otherwise never admit the
+        # flow and spin to the cycle cap with nothing completed.
+        flows = one_shot_flows([1, 1], dsts=[1, 16])
+        with pytest.raises(ConfigurationError, match="dst 16"):
+            FlowSim(build_fabric(name, 16), flows, max_cycles=500)
 
     def test_no_backpressure_drops_and_still_completes(self):
         stage = ConcentratorFabric(PerfectConcentrator(4, 1))

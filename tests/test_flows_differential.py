@@ -110,7 +110,7 @@ def test_per_cycle_front_is_identical(design, params):
     flow_per_cycle = []
 
     def checkpoint(sim, cycle):
-        delivered = sum(s.delivered for s in sim._states)
+        delivered = sim.accounting()["delivered"]
         flow_per_cycle.append(delivered - sum(flow_per_cycle))
 
     FlowSim(

@@ -93,6 +93,33 @@ class TestFlowsCompareJson:
                 assert fabric[key] is None or math.isfinite(fabric[key])
 
 
+class TestFlowsCompareN64:
+    """n=64 head-to-heads, where several flows often share an ingress
+    port, so the port round-robin and the knockout FIFOs shape every
+    fabric's numbers."""
+
+    # PYTHONPATH=src python -m repro flows compare --n 64 --duration 120 \
+    #   --seed 0 --format json
+    ARGS = [
+        "flows", "compare", "--n", "64", "--duration", "120",
+        "--seed", "0", "--format", "json",
+    ]
+    # ... the same run with --no-backpressure --sizes datamining
+    OPEN_LOOP = ARGS + ["--no-backpressure", "--sizes", "datamining"]
+
+    def test_matches_golden_snapshot(self, capsys):
+        assert main(self.ARGS) == 0
+        assert json.loads(capsys.readouterr().out) == _golden(
+            "flows_compare_n64.json"
+        )
+
+    def test_open_loop_datamining_matches_golden_snapshot(self, capsys):
+        assert main(self.OPEN_LOOP) == 0
+        assert json.loads(capsys.readouterr().out) == _golden(
+            "flows_compare_n64_datamining_nobp.json"
+        )
+
+
 class TestFlowsCompareReport:
     # PYTHONPATH=src python -m repro flows compare --n 16 --duration 30 \
     #   --seed 0
