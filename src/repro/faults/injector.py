@@ -24,6 +24,10 @@ Dead outputs support *graceful degradation*: with
 outputs are re-bonded to the first m *live* final wires (the positions
 ``m..n-1`` act as spares), so a dead pad costs capacity only when no
 spare is left.
+
+The round-synchronous and flow simulators take a whole scenario
+through :func:`inject_scenario`: structural faults become a
+:class:`FaultySwitch`, flaky pins a per-round :class:`FlakyPins`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro._util.rng import default_rng
 from repro.engine.batch import BatchRouting, run_plan, run_plan_with_faults
 from repro.engine.plan import FixedPermutation
 from repro.switches.base import ConcentratorSwitch, Routing
@@ -207,6 +212,53 @@ class FaultySwitch(ConcentratorSwitch):
             f"FaultySwitch({self.inner!r}, scenario={self.scenario.name!r}, "
             f"faults={self.scenario.fault_count})"
         )
+
+
+class FlakyPins:
+    """A scenario's intermittent input pins, flipped once per round.
+
+    Each round draws one Bernoulli per pin, in scenario order, from a
+    stream seeded by the scenario alone, so two simulations differing
+    only in congestion policy see the same fault history.  A flip on an
+    occupied pin garbles its message before the switch sees it; a flip
+    on an idle pin raises a ghost that occupies switch capacity but
+    delivers nothing.
+    """
+
+    def __init__(self, flaky: tuple, seed: int):
+        pins, odds = zip(*flaky)
+        self.pins = np.array(pins, dtype=np.intp)
+        self.p = np.array(odds, dtype=np.float64)
+        self._rng = default_rng(seed)
+
+    def flip(self, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One round of flips: the valid bits the switch sees, and the
+        garbled pins (occupied and flipped) in scenario order."""
+        flipped = self.pins[self._rng.random(self.pins.size) < self.p]
+        effective = valid.copy()
+        effective[flipped] = ~valid[flipped]
+        return effective, flipped[valid[flipped]]
+
+
+def inject_scenario(
+    switch: ConcentratorSwitch,
+    scenario: FaultScenario,
+    *,
+    remap_outputs: bool = False,
+) -> tuple[ConcentratorSwitch, FlakyPins | None]:
+    """Apply ``scenario`` to ``switch`` for a round or cycle simulator.
+
+    The whole scenario is validated by :func:`compile_scenario` (flaky
+    pins included); structural faults wrap the switch in a
+    :class:`FaultySwitch`, and the flaky pins come back as a
+    :class:`FlakyPins` (None when the scenario has none).
+    """
+    compiled = compile_scenario(scenario, switch)
+    structural = scenario.structural()
+    if structural.fault_count:
+        switch = FaultySwitch(switch, structural, remap_outputs=remap_outputs)
+    flaky = FlakyPins(compiled.flaky, scenario.seed) if compiled.flaky else None
+    return switch, flaky
 
 
 def _permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -210,7 +210,8 @@ def compile_scenario(scenario: FaultScenario, switch) -> CompiledFaults:
     Raises :class:`FaultInjectionError` when a fault names hardware the
     switch does not have — an out-of-range pin, a stage beyond the
     design's chip layers, or any interior fault on a switch without a
-    compiled stage plan.
+    compiled stage plan — or when the faults contradict each other (a
+    pin stuck at both 0 and 1, or one pin listed as flaky twice).
     """
     n, m = switch.n, switch.m
     plan = plan_of(switch)
@@ -277,6 +278,11 @@ def compile_scenario(scenario: FaultScenario, switch) -> CompiledFaults:
             if not 0.0 <= fault.p <= 1.0:
                 raise FaultInjectionError(
                     f"flaky pin probability must be in [0, 1], got {fault.p!r}"
+                )
+            if any(pin == fault.position for pin, _ in flaky):
+                raise FaultInjectionError(
+                    f"input pin {fault.position} is listed as flaky twice in "
+                    f"scenario {scenario.name!r}"
                 )
             flaky.append((fault.position, float(fault.p)))
         else:

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
 from repro.network.fattree import FatTree, universal_capacity
 from repro.switches.base import ConcentratorSwitch
@@ -150,23 +149,15 @@ class ConcentratorFabric(FabricStage):
         self.name = "concentrator"
         self.n = switch.n
         self.switch = switch
-        self._fault_rng = None
+        self._flaky = None
         if scenario is not None:
             # Imported lazily: repro.faults imports network modules for
             # its resilience measurements.
-            from repro.faults.injector import FaultySwitch
+            from repro.faults.injector import inject_scenario
 
-            structural = scenario.structural()
-            if structural.fault_count:
-                self.switch = FaultySwitch(
-                    switch, structural, remap_outputs=remap_outputs
-                )
-            flaky = scenario.flaky_pins()
-            if flaky:
-                pins, odds = zip(*flaky)
-                self._flaky_pins = np.array(pins, dtype=np.int64)
-                self._flaky_p = np.array(odds, dtype=np.float64)
-                self._fault_rng = default_rng(scenario.seed)
+            self.switch, self._flaky = inject_scenario(
+                switch, scenario, remap_outputs=remap_outputs
+            )
 
     def describe(self) -> dict:
         out = super().describe()
@@ -178,25 +169,16 @@ class ConcentratorFabric(FabricStage):
         self._check(src, dst, flow)
         valid = np.zeros(self.n, dtype=bool)
         valid[src] = True
-        effective = valid
-        garbled = None
-        if self._fault_rng is not None:
-            # Same semantics as SwitchSimulation._flip_flaky: one draw
-            # per flaky pin per cycle; a flip on an occupied pin garbles
-            # the cell before the switch sees it, a flip on an idle pin
-            # raises a ghost that occupies capacity but delivers nothing.
-            flips = self._flaky_pins[
-                self._fault_rng.random(len(self._flaky_pins)) < self._flaky_p
-            ]
-            effective = valid.copy()
-            effective[flips] = ~valid[flips]
-            garbled = np.zeros(self.n, dtype=bool)
-            garbled[flips] = valid[flips]
+        effective, garbled = valid, None
+        if self._flaky is not None:
+            # One draw per flaky pin per cycle, exactly as in the
+            # round-synchronous simulator (FlakyPins.flip).
+            effective, garbled = self._flaky.flip(valid)
         io = self.switch.setup_batch(effective[None, :]).input_to_output[0]
         fate = np.where(io[src] >= 0, DELIVERED, REJECTED).astype(np.int8)
         faulted = 0
         if garbled is not None:
-            hit = garbled[src]
+            hit = np.isin(src, garbled)
             fate[hit] = REJECTED
             faulted = int(np.count_nonzero(hit))
         return StageOutcome(fate, faulted=faulted)

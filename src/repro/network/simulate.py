@@ -105,7 +105,9 @@ class SwitchSimulation:
     — so two simulations differing only in congestion policy see the
     *same* fault history and their delivery rates are comparable.
     ``remap_outputs=True`` additionally routes around dead output pads
-    using the spare output positions (plan-based switches only).
+    using the spare output positions (plan-based switches only).  The
+    whole scenario, flaky pins included, is validated against the
+    switch at construction (:class:`~repro.errors.FaultInjectionError`).
     """
 
     def __init__(
@@ -122,21 +124,15 @@ class SwitchSimulation:
                 f"traffic width {traffic.n} != switch inputs {switch.n}"
             )
         self.switch = switch
-        self._flaky: tuple = ()
-        self._fault_rng = None
+        self._flaky = None
         if scenario is not None:
             # Imported lazily: repro.faults imports the simulator for
             # its resilience measurements.
-            from repro.faults.injector import FaultySwitch
+            from repro.faults.injector import inject_scenario
 
-            structural = scenario.structural()
-            if structural.fault_count:
-                self.switch = FaultySwitch(
-                    switch, structural, remap_outputs=remap_outputs
-                )
-            self._flaky = scenario.flaky_pins()
-            if self._flaky:
-                self._fault_rng = default_rng(scenario.seed)
+            self.switch, self._flaky = inject_scenario(
+                switch, scenario, remap_outputs=remap_outputs
+            )
         self.traffic = traffic
         self.policy = policy if policy is not None else DropPolicy()
         self.rng = default_rng(seed)
@@ -156,64 +152,60 @@ class SwitchSimulation:
         )
         return summary
 
-    def _flip_flaky(
-        self, injected: list[Message | None], valid: np.ndarray
-    ) -> tuple[np.ndarray, list[Message], int]:
-        """Apply one round of Bernoulli pin flips.
-
-        A flip on an occupied pin garbles the message (it never reaches
-        the switch — returned as ``faulted`` for the policy to handle);
-        a flip on an idle pin raises a ghost signal that occupies switch
-        capacity but delivers nothing.
-        """
-        if not self._flaky:
-            return valid, [], 0
-        faulted: list[Message] = []
-        effective = valid.copy()
-        for pin, p in self._flaky:
-            if self._fault_rng.random() >= p:
-                continue
-            if valid[pin]:
-                faulted.append(injected[pin])
-                injected[pin] = None
-            effective[pin] = not valid[pin]
-        return effective, faulted, int(effective.sum() - (valid.sum() - len(faulted)))
-
     def _run_round(
         self, round_index: int, summary: SimulationSummary, reg
     ) -> None:
-        fresh = self.traffic.next_round()
-        offered = sum(1 for msg in fresh if msg is not None)
+        n = self.traffic.n
+        inputs, values = self.traffic.draw()
+        offered = int(inputs.size)
         self.policy.on_offered(offered)
+        valid = np.zeros(n, dtype=bool)
+        valid[inputs] = True
 
         # Merge the policy's backlog into idle input slots.  Policies
         # with timed release (ResendPolicy, RetryPolicy) expose
-        # ``backlog_due``; the rest release everything.
+        # ``backlog_due``; the rest release everything.  ``held`` maps
+        # a slot to the backlog index re-injected there (-1: none).
         if hasattr(self.policy, "backlog_due"):
             backlog = self.policy.backlog_due(round_index)
         else:
             backlog = self.policy.backlog()
-        injected = list(fresh)
+        held = np.full(n, -1, dtype=np.intp)
         overflow: list[Message] = []
         if backlog:
-            idle = [i for i, msg in enumerate(injected) if msg is None]
+            idle = np.flatnonzero(~valid)
             self.rng.shuffle(idle)
-            for msg, slot in zip(backlog, idle):
-                injected[slot] = msg
-            overflow = backlog[len(idle):]
+            slots = idle[: len(backlog)]
+            held[slots] = np.arange(slots.size)
+            valid[slots] = True
+            overflow = backlog[slots.size:]
 
-        valid = np.array([msg is not None for msg in injected], dtype=bool)
-        effective, faulted_msgs, ghosts = self._flip_flaky(injected, valid)
-        real = np.array([msg is not None for msg in injected], dtype=bool)
+        effective, garbled = valid, np.empty(0, dtype=np.intp)
+        if self._flaky is not None:
+            effective, garbled = self._flaky.flip(valid)
+        real = valid.copy()
+        real[garbled] = False
         routing = self.switch.setup(effective)
         # Only real messages count: ghosts raised by flaky pins consume
         # switch capacity but deliver nothing.
+        routed = routing.input_to_output >= 0
+        delivered = int((real & routed).sum())
+
+        # A fresh message becomes a Message object only here, when the
+        # policy has to decide its fate; backlog messages pass through.
+        payload = np.zeros(n, dtype=np.int64)
+        payload[inputs] = values
+
+        def message_at(slot: int) -> Message:
+            index = held[slot]
+            if index >= 0:
+                return backlog[index]
+            return Message.from_int(int(payload[slot]), self.traffic.payload_bits)
+
         unrouted = [
-            injected[i]
-            for i in np.flatnonzero(real)
-            if routing.input_to_output[i] < 0
-        ] + faulted_msgs + overflow
-        delivered = int((real & (routing.input_to_output >= 0)).sum())
+            message_at(slot)
+            for slot in np.flatnonzero(real & ~routed).tolist() + garbled.tolist()
+        ] + overflow
 
         self.policy.on_delivered(delivered)
         # The policy decides each unrouted message's fate; the deltas in
@@ -226,7 +218,8 @@ class SwitchSimulation:
         retried = self.policy.stats.retried - retried_before
         expired = getattr(self.policy.stats, "expired", 0) - expired_before
 
-        faulted = len(faulted_msgs)
+        faulted = int(garbled.size)
+        injected = int(effective.sum())
         summary.rounds += 1
         summary.offered += offered
         summary.delivered += delivered
@@ -238,7 +231,7 @@ class SwitchSimulation:
             RoundResult(
                 round_index=round_index,
                 offered=offered,
-                injected=int(real.sum()) + ghosts,
+                injected=injected,
                 delivered=delivered,
                 unrouted=len(unrouted),
                 lost=lost,
@@ -250,7 +243,7 @@ class SwitchSimulation:
         if reg.enabled:
             reg.counter("sim.rounds").inc()
             reg.counter("sim.offered").inc(offered)
-            reg.counter("sim.injected").inc(int(real.sum()) + ghosts)
+            reg.counter("sim.injected").inc(injected)
             reg.counter("sim.delivered").inc(delivered)
             reg.counter("sim.lost").inc(lost)
             reg.counter("sim.retried").inc(retried)

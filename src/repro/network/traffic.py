@@ -17,27 +17,50 @@ from repro.messages.message import Message
 
 
 class TrafficGenerator(ABC):
-    """Produces one message set (length-n list of Message/None) per
-    round."""
+    """Produces one round of traffic at a time.
+
+    :meth:`draw` is the array form the simulators consume: the active
+    input indices (in :meth:`active_inputs` order) and their payload
+    integers, drawn in one ``integers(0, 2**payload_bits, size=k)``
+    call, with no draw at all when ``payload_bits`` is 0.
+    :meth:`next_round` wraps the same draw as a length-n list of
+    :class:`Message`/None, so both forms consume the generator's RNG
+    identically.  ``payload_bits`` is at most 63 so a payload fits a
+    numpy int64.
+    """
 
     def __init__(self, n: int, payload_bits: int = 8, seed: int | None = None):
         if n < 1:
             raise ConfigurationError(f"n must be positive, got {n}")
-        if payload_bits < 0:
-            raise ConfigurationError("payload_bits must be non-negative")
+        if not 0 <= payload_bits <= 63:
+            raise ConfigurationError(
+                f"payload_bits must be in [0, 63], got {payload_bits}"
+            )
         self.n = n
         self.payload_bits = payload_bits
         self.rng = default_rng(seed)
 
     @abstractmethod
     def active_inputs(self) -> np.ndarray:
-        """Indices of inputs carrying a valid message this round."""
+        """Distinct indices of inputs carrying a valid message this
+        round."""
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """One round as arrays: ``(inputs, values)``, the active input
+        indices and their payload integers."""
+        inputs = np.asarray(self.active_inputs(), dtype=np.intp)
+        if self.payload_bits:
+            values = self.rng.integers(0, 1 << self.payload_bits, size=inputs.size)
+        else:
+            values = np.zeros(inputs.size, dtype=np.int64)
+        return inputs, values
 
     def next_round(self) -> list[Message | None]:
+        """One round as a length-n list of :class:`Message`/None."""
         messages: list[Message | None] = [None] * self.n
-        for i in self.active_inputs():
-            value = int(self.rng.integers(0, 1 << self.payload_bits)) if self.payload_bits else 0
-            messages[int(i)] = Message.from_int(value, self.payload_bits)
+        inputs, values = self.draw()
+        for i, value in zip(inputs.tolist(), values.tolist()):
+            messages[i] = Message.from_int(value, self.payload_bits)
         return messages
 
 

@@ -100,6 +100,14 @@ class TestCompileScenario:
         with pytest.raises(FaultInjectionError):
             compile_scenario(scenario, sw)
 
+    def test_rejects_duplicate_flaky_pin(self):
+        sw = RevsortSwitch(16, 12)
+        scenario = FaultScenario(
+            name="bad", faults=(FlakyPinFault(4, 0.5), FlakyPinFault(4, 0.2))
+        )
+        with pytest.raises(FaultInjectionError, match="flaky twice"):
+            compile_scenario(scenario, sw)
+
 
 class TestFaultySwitch:
     def test_empty_scenario_matches_healthy(self, rng):
@@ -435,6 +443,41 @@ class TestSimulationFaults:
         retry = run(RetryPolicy(seed=2))
         assert drop.faulted == retry.faulted
         assert retry.delivery_rate >= drop.delivery_rate
+
+
+class TestSimulationFlakyValidation:
+    """SwitchSimulation validates flaky pins at construction, with the
+    same checks compile_scenario applies to every other fault."""
+
+    @staticmethod
+    def _simulation(*faults):
+        return SwitchSimulation(
+            RevsortSwitch(16, 12),
+            BernoulliTraffic(16, 0.9, payload_bits=0, seed=0),
+            RetryPolicy(seed=0),
+            scenario=FaultScenario(name="bad", faults=faults, seed=1),
+        )
+
+    def test_negative_pin_rejected(self):
+        # Used to flip pin n-1 silently.
+        with pytest.raises(FaultInjectionError, match="input pins 0..15"):
+            self._simulation(FlakyPinFault(-1, 1.0))
+
+    def test_pin_past_last_input_rejected(self):
+        # Used to raise a bare IndexError mid-run.
+        with pytest.raises(FaultInjectionError, match="input pins 0..15"):
+            self._simulation(FlakyPinFault(16, 0.5))
+
+    def test_duplicate_pin_rejected(self):
+        # Used to crash mid-run garbling one message twice.
+        with pytest.raises(FaultInjectionError, match="flaky twice"):
+            self._simulation(FlakyPinFault(5, 1.0), FlakyPinFault(5, 1.0))
+
+    def test_valid_pins_still_run(self):
+        summary = self._simulation(
+            FlakyPinFault(0, 1.0), FlakyPinFault(15, 1.0)
+        ).run(5)
+        assert summary.faulted > 0
 
 
 class TestFaultsCli:

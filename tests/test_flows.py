@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultInjectionError
+from repro.faults import FaultScenario, FlakyPinFault
 from repro.network.flows import (
     BLOCKED,
     DELIVERED,
@@ -197,6 +198,32 @@ class TestConcentratorFabric:
         stage = ConcentratorFabric(PerfectConcentrator(4, 2))
         doc = stage.describe()
         assert doc["m"] == 2 and doc["switch"] == "PerfectConcentrator"
+
+    def test_flaky_pin_garbles_occupied_cell(self):
+        scenario = FaultScenario(
+            name="fl", faults=(FlakyPinFault(2, 1.0), FlakyPinFault(5, 1.0))
+        )
+        stage = ConcentratorFabric(PerfectConcentrator(8, 4), scenario=scenario)
+        # Pin 2 carries a cell (garbled); pin 5 is idle (a ghost).
+        outcome = stage.step(*_cells({0: (0, 0), 2: (1, 2), 3: (2, 3)}))
+        assert outcome.fate.tolist() == [DELIVERED, REJECTED, DELIVERED]
+        assert outcome.faulted == 1
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            (FlakyPinFault(-1, 1.0),),
+            (FlakyPinFault(8, 0.5),),
+            (FlakyPinFault(1, 0.5), FlakyPinFault(1, 0.5)),
+        ],
+        ids=["negative", "past-last", "duplicate"],
+    )
+    def test_bad_flaky_pins_rejected(self, faults):
+        with pytest.raises(FaultInjectionError):
+            ConcentratorFabric(
+                PerfectConcentrator(8, 4),
+                scenario=FaultScenario(name="bad", faults=faults),
+            )
 
 
 class TestKnockoutFabric:

@@ -19,6 +19,14 @@ from repro.switches.perfect import PerfectConcentrator
 from repro.switches.revsort_switch import RevsortSwitch
 
 
+GENERATORS = [
+    lambda bits: BernoulliTraffic(32, p=0.5, payload_bits=bits, seed=1),
+    lambda bits: FixedKTraffic(32, k=9, payload_bits=bits, seed=2),
+    lambda bits: HotSpotTraffic(32, payload_bits=bits, seed=3),
+]
+GENERATOR_IDS = ["bernoulli", "fixedk", "hotspot"]
+
+
 class TestTrafficGenerators:
     def test_bernoulli_rate(self):
         gen = BernoulliTraffic(1000, p=0.3, seed=1)
@@ -48,6 +56,26 @@ class TestTrafficGenerators:
         for m in round_msgs:
             if m is not None:
                 assert m.length == 4
+
+    @pytest.mark.parametrize("bits", [0, 1, 8, 63])
+    @pytest.mark.parametrize("make", GENERATORS, ids=GENERATOR_IDS)
+    def test_draw_matches_next_round(self, make, bits):
+        drawn, listed = make(bits), make(bits)
+        for _ in range(5):
+            inputs, values = drawn.draw()
+            messages = listed.next_round()
+            expected = {i: m.to_int() for i, m in enumerate(messages) if m}
+            assert dict(zip(inputs.tolist(), values.tolist())) == expected
+            assert len(inputs) == len(expected)
+        assert drawn.rng.random() == listed.rng.random()
+
+    @pytest.mark.parametrize("make", GENERATORS, ids=GENERATOR_IDS)
+    def test_payload_bits_capped_at_63(self, make):
+        assert make(63).payload_bits == 63
+        with pytest.raises(ConfigurationError, match="payload_bits"):
+            make(64)
+        with pytest.raises(ConfigurationError, match="payload_bits"):
+            make(-1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
