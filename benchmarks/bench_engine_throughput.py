@@ -2,8 +2,7 @@
 
 Standalone script (not a pytest-benchmark module)::
 
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        --out BENCH_engine.json
+    PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
 For each configured switch it routes the same random trial set through
 (a) a plain ``setup`` loop and (b) one ``setup_batch`` call on the

@@ -2,7 +2,7 @@
 
 Revsort/Columnsort were stated for meshes of PEs doing neighbour
 compare-exchanges; the paper's switches replace each Θ(√n)-step full
-sort with a single Θ(lg n)-delay chip pass.  This bench runs
+sort with a single Θ(lg n)-delay chip pass.  This bench executes
 Algorithm 1 both ways on identical inputs — neighbour-only mesh
 machine vs the multichip switch — confirming bit-identical results and
 quantifying the asymptotic gap the switches buy.

@@ -4,61 +4,15 @@ Every bench regenerates one paper artifact (table/figure/theorem-level
 claim), asserts the *shape* agreement recorded in EXPERIMENTS.md, and
 prints a paper-vs-measured report to the terminal (visible in
 ``bench_output.txt``).  pytest-benchmark times the underlying
-computation so the harness doubles as a performance regression suite.
-
-Each bench also appends one self-describing run-metadata record (git
-SHA, seed, wall time, repro.obs metric snapshot) to
-``benchmarks/BENCH_META.jsonl`` so result trajectories carry their own
-provenance.  Set ``REPRO_BENCH_META`` to another path to redirect the
-records, or to ``0``/``off`` to disable them.
+computation.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro import obs
-from repro._util.rng import DEFAULT_SEED, default_rng
-
-_META_ENV = "REPRO_BENCH_META"
-
-
-def _meta_path() -> Path | None:
-    raw = os.environ.get(_META_ENV, "")
-    if raw.lower() in {"0", "off", "no", "false"}:
-        return None
-    if raw:
-        return Path(raw)
-    return Path(__file__).resolve().parent / "BENCH_META.jsonl"
-
-
-@pytest.fixture(autouse=True)
-def bench_run_meta(request):
-    """Collect obs metrics for the duration of each bench and append a
-    run-metadata record when it finishes."""
-    path = _meta_path()
-    if path is None:
-        yield
-        return
-    started_at = time.time()
-    start = time.perf_counter()
-    with obs.collecting() as registry:
-        yield
-    record = obs.run_metadata(
-        run_id=request.node.nodeid,
-        seed=DEFAULT_SEED,
-        wall_s=time.perf_counter() - start,
-        registry=registry,
-        started_at=started_at,
-    )
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
+from repro._util.rng import default_rng
 
 
 @pytest.fixture

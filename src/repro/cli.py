@@ -13,11 +13,8 @@ Six subcommands mirroring the paper's artifacts::
     python -m repro compare --switch revsort --n 256 --m 192 --workers 4
     python -m repro knockout --ports 16 --load 0.9
     python -m repro reproduce
-    python -m repro bench run --suite smoke
-    python -m repro bench compare --baseline BENCH_TRAJECTORY.jsonl
     python -m repro obs trace --switch columnsort --n 4096 --out trace.json
     python -m repro obs export --journal out.jsonl --format prometheus
-    python -m repro obs report
 
 * ``table1`` prints the Table 1 resource measures for a concrete size;
 * ``design`` sweeps the design space under a pin budget (the
@@ -41,20 +38,16 @@ Six subcommands mirroring the paper's artifacts::
   loss across L;
 * ``reproduce`` runs the full end-to-end reproduction report (same
   checks as ``examples/reproduce_paper.py``);
-* ``bench run``/``bench compare`` drive the performance observatory:
-  registry-driven suites appended to ``BENCH_TRAJECTORY.jsonl`` and a
-  noise-aware regression gate over it (``docs/performance.md``);
 * ``obs trace`` exports a Chrome-trace/Perfetto span timeline (plus an
   optional cProfile) of any switch geometry; ``obs export`` renders a
-  metrics snapshot or a replayed event journal as OpenMetrics text;
-  ``obs report`` renders the trajectory dashboard.
+  metrics snapshot or a replayed event journal as OpenMetrics text.
 
 Long-running commands (``simulate``, ``certify``, ``faults sweep``,
-``compare``, ``bench run``, ``bench compare``) also take ``--journal``
-(stream a ``repro.obs/journal@1`` JSONL event journal), ``--live``
-(terminal progress with rates and ETA), and ``--crash-dir`` (flight-
-recorder crash reports on failure) — see the "Live telemetry" section
-of ``docs/observability.md``.
+``compare``, ``flows``) also take ``--journal`` (stream a
+``repro.obs/journal@1`` JSONL event journal), ``--live`` (terminal
+progress with rates and ETA), and ``--crash-dir`` (flight-recorder
+crash reports on failure) — see the "Live telemetry" section of
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -180,7 +173,6 @@ class Telemetry:
 def _command_name(args: argparse.Namespace) -> str:
     sub = (
         getattr(args, "faults_command", None)
-        or getattr(args, "bench_command", None)
         or getattr(args, "obs_command", None)
         or getattr(args, "flows_command", None)
     )
@@ -1329,143 +1321,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.engine import resolve_workers
-    from repro.obs.perf.suite import run_bench, suite_specs
-    from repro.obs.perf.trajectory import append_records
-
-    workers_cap = resolve_workers(args.workers)
-    specs = suite_specs(args.suite, contains=args.filter or None)
-    if not specs:
-        raise ReproError(
-            f"no bench in suite {args.suite!r} matches {args.filter!r}"
-        )
-    records = []
-    with _telemetry_scope(args) as tele:
-        tele.phase("bench", total=len(specs))
-        for index, spec in enumerate(specs):
-            record = run_bench(
-                spec,
-                suite=args.suite,
-                repeats=args.repeats,
-                seed=args.seed,
-                alloc=not args.no_alloc,
-                merge_into=tele.registry,
-                workers_cap=workers_cap,
-            )
-            records.append(record)
-            tele.advance("bench", index + 1, len(specs))
-            cache = record["plan_cache"]
-            hit_rate = (
-                f"{cache['hit_rate'] * 100:3.0f}%" if cache["hit_rate"] is not None
-                else "  -"
-            )
-            print(
-                f"{spec.id:>28}  median {record['median_wall_s'] * 1e3:9.3f}ms  "
-                f"{record['throughput']:>12,.0f} {record['unit']}/s  "
-                f"cache {hit_rate}  rss {record['rss_peak_kb'] or 0:>7}KiB"
-            )
-    path = append_records(args.out, records)
-    sha = records[-1]["env"]["git_sha"] or "?"
-    dirty = " (dirty)" if records[-1]["env"]["git_dirty"] else ""
-    print(
-        f"{len(records)} record(s) appended to {path} at {sha[:12]}{dirty}"
-    )
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.perf.regression import compare_records, has_regressions
-    from repro.obs.perf.trajectory import (
-        latest_per_bench,
-        read_trajectory,
-        split_latest,
-    )
-
-    baseline_records = read_trajectory(args.baseline)
-    if not baseline_records:
-        raise ReproError(f"{args.baseline} holds no trajectory records")
-    if args.candidate:
-        candidates = latest_per_bench(read_trajectory(args.candidate))
-        history = baseline_records
-    else:
-        candidates, history = split_latest(baseline_records)
-    with _telemetry_scope(args) as tele:
-        tele.phase("bench-compare", total=len(candidates))
-        verdicts = compare_records(
-            candidates, history, tolerance=args.tolerance, window=args.window
-        )
-        tele.advance("bench-compare", len(verdicts), len(candidates))
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "schema": "repro.cli/bench-compare@1",
-                        "baseline": str(args.baseline),
-                        "tolerance": args.tolerance,
-                        "window": args.window,
-                        "verdicts": [v.as_dict() for v in verdicts],
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            rows = [
-                {
-                    "bench": v.bench,
-                    "baseline": (
-                        f"{v.baseline_wall_s * 1e3:.3f}ms (n={v.window})"
-                        if v.baseline_wall_s is not None
-                        else "-"
-                    ),
-                    "candidate": f"{v.candidate_wall_s * 1e3:.3f}ms",
-                    "ratio": f"{v.ratio:.2f}" if v.ratio is not None else "-",
-                    "delta": (
-                        f"{v.delta_pct:+.1f}%" if v.delta_pct is not None else "-"
-                    ),
-                    "status": v.status.upper() if v.regressed else v.status,
-                }
-                for v in verdicts
-            ]
-            print(
-                render_table(
-                    rows,
-                    title=(
-                        f"bench compare vs {args.baseline} "
-                        f"(tolerance {args.tolerance:.0%}, window {args.window})"
-                    ),
-                )
-            )
-        if has_regressions(verdicts):
-            offenders = [v for v in verdicts if v.regressed]
-            bad = ", ".join(v.bench for v in offenders)
-            print(f"ERROR: performance regression in {bad}", file=sys.stderr)
-            for v in offenders:
-                baseline = (
-                    f"{v.baseline_wall_s * 1e3:.3f}ms"
-                    if v.baseline_wall_s is not None
-                    else "no baseline"
-                )
-                delta = (
-                    f"{v.delta_pct:+.1f}%" if v.delta_pct is not None else "n/a"
-                )
-                print(
-                    f"  {v.bench}: baseline {baseline} -> candidate "
-                    f"{v.candidate_wall_s * 1e3:.3f}ms (delta {delta})",
-                    file=sys.stderr,
-                )
-            tele.crash(
-                "regression-gate",
-                detail={"verdicts": [v.as_dict() for v in offenders]},
-            )
-            if not args.warn_only:
-                return 1
-            print("(warn-only mode: exiting 0)", file=sys.stderr)
-    return 0
-
-
 def cmd_obs_trace(args: argparse.Namespace) -> int:
     from repro._util.rng import default_rng as _rng
     from repro.obs.perf.chrometrace import write_chrome_trace
@@ -1495,20 +1350,46 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_telemetry(args: argparse.Namespace, *flags: str) -> tuple[str, dict]:
+    """Load the one telemetry source ``obs export`` / ``obs slo`` was
+    given, as ``(path, document)``: ``--journal`` is replayed into a
+    snapshot, ``--metrics`` is a schema-checked metrics.json and
+    ``--input`` any JSON object (a flows run/compare document).  A
+    missing, unparsable or mistyped source is a :class:`ReproError`."""
+    import json
+    from pathlib import Path
+
+    from repro.obs.live import replay_journal
+
+    given = [flag for flag in flags if getattr(args, flag)]
+    if len(given) != 1:
+        raise ReproError(
+            "give exactly one of " + " or ".join(f"--{flag}" for flag in flags)
+        )
+    flag = given[0]
+    path = getattr(args, flag)
+    if not Path(path).is_file():
+        raise ReproError(f"no {flag} file at {path}")
+    if flag == "journal":
+        return path, replay_journal(path)
+    if flag == "metrics":
+        return path, obs.read_metrics_json(path)
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ReproError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ReproError(f"{path} is not a JSON object")
+    return path, document
+
+
 def cmd_obs_export(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs.live import prometheus_text, replay_journal
+    from repro.obs.live import prometheus_text
 
-    if bool(args.metrics) == bool(args.journal):
-        raise ReproError("give exactly one of --metrics or --journal")
-    if args.metrics:
-        if not Path(args.metrics).exists():
-            raise ReproError(f"no metrics file at {args.metrics}")
-        snapshot = obs.read_metrics_json(args.metrics)
-    else:
-        snapshot = replay_journal(args.journal)
+    _, snapshot = _load_telemetry(args, "metrics", "journal")
     if args.format == "prometheus":
         text = prometheus_text(snapshot)
     else:
@@ -1518,22 +1399,6 @@ def cmd_obs_export(args: argparse.Namespace) -> int:
         print(f"exported to {args.out}")
     else:
         print(text, end="")
-    return 0
-
-
-def cmd_obs_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.perf.report import trajectory_report
-    from repro.obs.perf.trajectory import read_trajectory
-
-    records = read_trajectory(args.trajectory)
-    text = trajectory_report(records, fmt=args.format)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(f"report written to {args.out}")
-    else:
-        print(text)
     return 0
 
 
@@ -1579,27 +1444,10 @@ def cmd_obs_slo(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import ConcentrationError
-    from repro.obs.live import replay_journal
     from repro.obs.slo import evaluate_slo, load_slo_spec, slo_rows, violations
 
-    if bool(args.journal) == bool(args.input):
-        raise ReproError("give exactly one of --journal or --input")
+    against, source = _load_telemetry(args, "journal", "input")
     rules = load_slo_spec(args.spec)
-    if args.journal:
-        source = replay_journal(args.journal)
-        against = args.journal
-    else:
-        from pathlib import Path
-
-        if not Path(args.input).exists():
-            raise ReproError(f"no input file at {args.input}")
-        try:
-            source = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"{args.input} is not JSON: {exc}") from None
-        if not isinstance(source, dict):
-            raise ReproError(f"{args.input} is not a JSON object")
-        against = args.input
     verdicts = evaluate_slo(rules, source)
     failed = violations(verdicts)
     if args.format == "json":
@@ -2127,7 +1975,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "obs",
         help="observability: metric catalog, span-timeline traces, "
-        "trajectory reports",
+        "journal analysis, SLO gates",
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument(
@@ -2205,18 +2053,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", default=None, help="write instead of printing")
     pe.set_defaults(func=cmd_obs_export)
 
-    pr = obs_sub.add_parser(
-        "report", help="render the bench trajectory dashboard"
-    )
-    pr.add_argument(
-        "--trajectory",
-        default="BENCH_TRAJECTORY.jsonl",
-        help="trajectory file to render",
-    )
-    pr.add_argument("--format", choices=["table", "md"], default="table")
-    pr.add_argument("--out", default=None, help="write instead of printing")
-    pr.set_defaults(func=cmd_obs_report)
-
     pa = obs_sub.add_parser(
         "analyze",
         help="reconstruct the causal span tree from a journal: critical "
@@ -2265,88 +2101,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.set_defaults(func=cmd_obs_slo)
 
-    p = sub.add_parser(
-        "bench",
-        help="performance observatory: run bench suites, gate on the "
-        "trajectory (see docs/performance.md)",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    pb = bench_sub.add_parser(
-        "run",
-        help="run a registry-driven bench suite and append trajectory "
-        "records",
-    )
-    from repro.obs.perf.suite import suite_names as _suite_names
-
-    pb.add_argument(
-        "--suite", choices=_suite_names(), default="smoke",
-        help="which suite to run (smoke: CI-sized, full: paper-scale)",
-    )
-    pb.add_argument("--repeats", type=int, default=3)
-    pb.add_argument("--seed", type=int, default=0x1987)
-    pb.add_argument(
-        "--filter", default=None, help="only benches whose id contains this"
-    )
-    pb.add_argument(
-        "--out",
-        default="BENCH_TRAJECTORY.jsonl",
-        help="append records to this trajectory file",
-    )
-    pb.add_argument(
-        "--no-alloc",
-        action="store_true",
-        help="skip the (untimed) tracemalloc allocation pass",
-    )
-    pb.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="cap the process fan-out of scaling benches "
-        "(0 = one per core; other suites are unaffected)",
-    )
-    _add_telemetry_flags(pb)
-    pb.set_defaults(func=cmd_bench_run)
-
-    pc = bench_sub.add_parser(
-        "compare",
-        help="diff the newest record per bench against its baseline "
-        "window; exits 1 on regression",
-    )
-    from repro.obs.perf.regression import DEFAULT_TOLERANCE, DEFAULT_WINDOW
-
-    pc.add_argument(
-        "--baseline",
-        default="BENCH_TRAJECTORY.jsonl",
-        help="trajectory holding the baseline (and, without "
-        "--candidate, the candidates too)",
-    )
-    pc.add_argument(
-        "--candidate",
-        default=None,
-        help="separate trajectory whose newest records are the "
-        "candidates (default: newest per bench in --baseline)",
-    )
-    pc.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative wall-time band treated as noise",
-    )
-    pc.add_argument(
-        "--window",
-        type=int,
-        default=DEFAULT_WINDOW,
-        help="trailing records per bench forming the baseline median",
-    )
-    pc.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (CI smoke mode)",
-    )
-    pc.add_argument("--format", choices=["table", "json"], default="table")
-    _add_telemetry_flags(pc)
-    pc.set_defaults(func=cmd_bench_compare)
     return parser
 
 

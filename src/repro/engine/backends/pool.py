@@ -198,11 +198,6 @@ def run_collected(fn, job: dict) -> tuple[object, dict]:
     plans = job.pop("plans", None)
     if plans:
         PLAN_CACHE.restore(plans)
-    delay = job.pop("delay_s", 0.0)
-    if delay:
-        # Test hook: an injected slow shard (see tests/test_backend.py's
-        # regression-gate pin). Never set outside tests.
-        time.sleep(delay)
     maybe_die(job.pop("chaos", None), job.get("shard"))
     trace = job.pop("trace", None)
     local = obs.Registry()

@@ -111,7 +111,6 @@ class ShardedBackend(EngineBackend):
         max_retries: int = 2,
         backoff_s: float = 0.05,
         degrade: bool = True,
-        _test_shard_delay_s: float = 0.0,
         _test_chaos: dict | None = None,
         **_options,
     ) -> None:
@@ -123,7 +122,6 @@ class ShardedBackend(EngineBackend):
             backoff_s=float(backoff_s),
             degrade=bool(degrade),
         )
-        self._test_shard_delay_s = float(_test_shard_delay_s)
         self._test_chaos = _test_chaos
 
     def capabilities(self) -> frozenset:
@@ -134,7 +132,7 @@ class ShardedBackend(EngineBackend):
     # -- dispatch plumbing -------------------------------------------
 
     def _jobs(self, switch, jobs: list[dict]) -> None:
-        """Attach shard indices, the plan payload, and test hooks."""
+        """Attach shard indices and the plan payload."""
         payload = None
         if self.workers > 1:
             key = self.plan_key(switch)
@@ -143,8 +141,6 @@ class ShardedBackend(EngineBackend):
             job["shard"] = index
             if payload:
                 job["plans"] = payload
-            if self._test_shard_delay_s and index == 0:
-                job["delay_s"] = self._test_shard_delay_s
 
     def _dispatch(self, switch, fn, jobs: list[dict]) -> list[object]:
         """Run the shard jobs (pool or inline), merge worker snapshots

@@ -45,7 +45,7 @@ from repro.obs.registry import (
     uninstall,
     using,
 )
-from repro.obs.runmeta import environment, git_dirty, git_sha, run_metadata
+from repro.obs.runmeta import environment, git_dirty, git_sha
 from repro.obs.timeseries import NullSeries, Series
 from repro.obs.tracectx import TraceContext, child_context, new_trace_id
 from repro.obs.tracing import SpanRecord, Tracer
@@ -83,7 +83,6 @@ __all__ = [
     "metrics_markdown",
     "new_trace_id",
     "read_metrics_json",
-    "run_metadata",
     "series",
     "span",
     "split_metric_key",

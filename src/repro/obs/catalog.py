@@ -184,9 +184,7 @@ CATALOG: tuple[MetricInfo, ...] = (
                "contract/parity/metamorphic violations found, by design and check"),
     MetricInfo("verify.certify", "span", (),
                "one certify_switch run (meta: design, n, m)"),
-    # obs/perf (the performance observatory, see docs/performance.md)
-    MetricInfo("bench.repeat", "span", (),
-               "one timed repeat of a bench spec (meta: bench, repeat)"),
+    # obs/perf (run tracing, see docs/performance.md)
     MetricInfo("trace.run", "span", (),
                "the traced workload of 'repro obs trace' (meta: switch, trials)"),
     # obs/live (the live telemetry pipeline, see docs/observability.md)

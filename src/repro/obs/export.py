@@ -54,8 +54,11 @@ def write_metrics_json(snapshot: dict, path: str | Path) -> Path:
 def read_metrics_json(path: str | Path) -> dict:
     """Read a metrics.json back into a snapshot dict (header checked
     and stripped, so ``read(write(s)) == s`` for registry snapshots)."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    if document.get("schema") != "repro.obs/metrics":
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(document, dict) or document.get("schema") != "repro.obs/metrics":
         raise ConfigurationError(f"{path} is not a repro.obs metrics file")
     return {
         key: document[key]

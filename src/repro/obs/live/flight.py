@@ -2,8 +2,8 @@
 
 Subscribed to the event journal, the recorder keeps the most recent
 ``capacity`` events in a bounded deque.  When a run dies — an
-unhandled exception, a contract violation (CLI exit 1), or a
-regression-gate trip — the CLI exit paths call :func:`crash_report`
+unhandled exception, a contract violation (CLI exit 1), or an
+exhausted shard retry budget — the CLI exit paths call :func:`crash_report`
 and write a ``repro.obs/crash@1`` JSON: the exception, the last N
 events (so the heartbeats, counters, and spans leading up to death
 are preserved), the failing span, the open-span path at the moment of

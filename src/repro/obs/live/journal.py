@@ -223,11 +223,16 @@ def read_journal(source: str | Path | Iterable[dict]) -> list[dict]:
         path = Path(source)
         if not path.exists():
             raise ConfigurationError(f"no journal at {path}")
-        events = [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        try:
+            events = [
+                json.loads(line)
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if line.strip()
+            ]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is not JSONL: {exc}") from None
+        if not all(isinstance(event, dict) for event in events):
+            raise ConfigurationError(f"{path} holds a line that is not a JSON object")
     else:
         events = list(source)
     if not events:

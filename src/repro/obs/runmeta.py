@@ -1,10 +1,7 @@
-"""Self-describing run metadata records.
-
-The benchmark harness attaches one of these records to every bench so
-a BENCH_*.json trajectory carries its own provenance: which commit
-produced it (and whether the tree was dirty), which seed drove it, how
-long it took, which interpreter/numpy built the numbers, and the
-metric snapshot the instrumented code emitted while it ran.
+"""Run provenance: which commit (and whether the tree was dirty) and
+which interpreter/numpy produced a run.  The live journal's ``env``
+frame carries :func:`environment` so a journal explains its own
+numbers.
 """
 
 from __future__ import annotations
@@ -12,17 +9,8 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-import time
 from functools import lru_cache
 from pathlib import Path
-
-from repro.obs.registry import NullRegistry, Registry
-
-#: Bumped when the record layout changes.  Version 2 added
-#: ``git_dirty`` and ``numpy`` (version 1 records carried only the SHA
-#: and Python-level metadata); version 3 added ``cpu_count``, making
-#: the 1-core caveat in docs/performance.md machine-checkable.
-RECORD_VERSION = 3
 
 
 def _git(args: list[str], cwd: str | None) -> str | None:
@@ -67,51 +55,14 @@ def numpy_version() -> str:
 
 
 def environment() -> dict:
-    """The provenance block shared by run records and bench-trajectory
-    records: commit, dirty-tree flag, and toolchain versions."""
+    """The provenance block of a journal's ``env`` frame: commit,
+    dirty-tree flag, and toolchain versions."""
     return {
         "git_sha": git_sha(),
         "git_dirty": git_dirty(),
         "python": platform.python_version(),
         "numpy": numpy_version(),
         "platform": platform.platform(),
-        # Scaling benches mean nothing without knowing how many cores
-        # the host actually had (the docs/performance.md 1-core caveat).
+        # Worker-pool timings mean nothing without the host's core count.
         "cpu_count": os.cpu_count(),
-    }
-
-
-def run_metadata(
-    *,
-    run_id: str,
-    seed: int | None,
-    wall_s: float,
-    registry: Registry | NullRegistry | None = None,
-    started_at: float | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """Build one JSON-serialisable run record.
-
-    ``run_id`` names the run (a pytest node id for benches), ``seed``
-    is the RNG seed that drove it, ``wall_s`` the measured wall time,
-    ``registry`` the metrics collected during the run (span events are
-    summarised to a count — the full trace stays in metrics.json
-    exports, not in run records).
-    """
-    snapshot = registry.snapshot() if registry is not None else None
-    if snapshot is not None:
-        spans = snapshot.pop("spans", {"events": [], "dropped": 0})
-        snapshot["span_events"] = len(spans.get("events", [])) + spans.get(
-            "dropped", 0
-        )
-    when = started_at if started_at is not None else time.time()
-    return {
-        "version": RECORD_VERSION,
-        "run_id": run_id,
-        "seed": seed,
-        "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(when)),
-        "wall_s": wall_s,
-        "metrics": snapshot,
-        **environment(),
-        **(extra or {}),
     }

@@ -28,7 +28,6 @@ from repro.engine.backends import (
     shard_valid,
     summarize_batch,
 )
-from repro.engine.backends.sharded import ShardedBackend
 from repro.errors import ConfigurationError
 from repro.switches.columnsort_switch import ColumnsortSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -203,7 +202,8 @@ class TestWorkersOption:
              "--workers", "-1"],
             ["compare", "--switch", "revsort", "--n", "16", "--m", "12",
              "--workers", "-1"],
-            ["bench", "run", "--suite", "smoke", "--workers", "-1"],
+            ["flows", "compare", "--n", "16", "--duration", "10",
+             "--workers", "-1"],
         ],
     )
     def test_negative_workers_exits_2(self, argv, capsys):
@@ -229,42 +229,3 @@ class TestCrossProcessCertify:
             assert cert.ok
             docs.append(cert.to_json())
         assert all(doc == docs[0] for doc in docs[1:]), design
-
-
-class TestSlowShardGate:
-    def _spec(self, delay_s: float):
-        from repro.obs.perf.suite import BenchSpec, Workload
-
-        def make():
-            sw = ColumnsortSwitch.from_beta(256, 0.75, 192)
-            backend = ShardedBackend(
-                workers=1, shard_trials=256, _test_shard_delay_s=delay_s
-            )
-            stream = StreamSpec(
-                trials=1024, shard_trials=256, load="half",
-                check_contract=False, measure_epsilon=False,
-            )
-
-            def run(rng):
-                return backend.run_stream(sw, stream).trials
-
-            return Workload(run=run, meta={})
-
-        return BenchSpec("test.slow-shard", ("test",), "trials", make)
-
-    def test_injected_slow_shard_trips_the_gate(self):
-        from repro.obs.perf.regression import compare_records, has_regressions
-        from repro.obs.perf.suite import run_bench
-
-        history = [
-            run_bench(self._spec(0.0), suite="test", repeats=3, alloc=False)
-        ]
-        slow = run_bench(self._spec(0.5), suite="test", repeats=3, alloc=False)
-        verdicts = compare_records({"test.slow-shard": slow}, history)
-        assert has_regressions(verdicts)
-        # A clean re-run stays inside the (generous) noise band.
-        clean = run_bench(self._spec(0.0), suite="test", repeats=3, alloc=False)
-        verdicts = compare_records(
-            {"test.slow-shard": clean}, history, tolerance=2.0
-        )
-        assert not has_regressions(verdicts)

@@ -38,7 +38,8 @@ from repro.switches.revsort_switch import RevsortSwitch
 
 def _registry_instances() -> list[tuple[str, ConcentratorSwitch]]:
     """One modest instance of every registered design, plus designs
-    that only exist outside the registry (iterated, cascade)."""
+    that only exist outside the registry (iterated, cascade), plus the
+    n=256 smoke geometries of benchmarks/bench_engine_throughput.py."""
     out = [
         (name, build_switch(name, n=64, m=48, r=16, s=4, beta=0.75))
         for name in sorted(REGISTRY)
@@ -50,6 +51,9 @@ def _registry_instances() -> list[tuple[str, ConcentratorSwitch]]:
             CascadeSwitch(ColumnsortSwitch(16, 4, 48), PerfectConcentrator(48, 32)),
         )
     )
+    out.append(("columnsort-n256", ColumnsortSwitch.from_beta(256, 0.75, 192)))
+    out.append(("revsort-n256", RevsortSwitch(256, 192)))
+    out.append(("hyper-n256", Hyperconcentrator(256)))
     return out
 
 

@@ -154,9 +154,10 @@ class TestEventJournal:
 
     def test_read_journal_rejects_garbage(self, tmp_path):
         path = tmp_path / "not.jsonl"
-        path.write_text('{"seq": 0, "type": "other"}\n')
-        with pytest.raises(ConfigurationError):
-            read_journal(path)
+        for text in ('{"seq": 0, "type": "other"}\n', "not json\n", "[1, 2]\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigurationError):
+                read_journal(path)
         with pytest.raises(ConfigurationError):
             read_journal([])
         with pytest.raises(ConfigurationError):
@@ -348,19 +349,6 @@ class TestSweepMergesWorkers:
         assert "obs.workers_merged{worker=perfect-k8}" in merged
         assert "obs.workers_merged{worker=partial-k36}" in merged
         assert counters["engine.batch_setups{switch=RevsortSwitch}"] == 2
-
-    def test_run_bench_merge_into(self):
-        from repro.obs.perf.suite import run_bench, suite_specs
-
-        spec = suite_specs("smoke", contains="engine.hyper")[0]
-        registry = obs.Registry()
-        record = run_bench(
-            spec, suite="smoke", repeats=1, alloc=False, merge_into=registry
-        )
-        assert record["bench"] == spec.id
-        counters = registry.snapshot()["counters"]
-        assert counters[f"obs.workers_merged{{worker={spec.id}}}"] == 1
-        assert "bench.repeat.seconds" in registry.snapshot()["histograms"]
 
 
 class TestTracerSink:
@@ -811,47 +799,33 @@ class TestCLITelemetry:
         assert self._main(["obs", "export"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bench_compare_regression_output_and_crash(self, tmp_path,
-                                                       capsys):
-        def record(bench, wall):
-            return {
-                "schema": "repro.obs/bench",
-                "version": 1,
-                "bench": bench,
-                "median_wall_s": wall,
-                "wall_s": [wall],
-            }
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            (["obs", "export", "--metrics"], "not json\n"),
+            (["obs", "export", "--metrics"], "[1, 2]\n"),
+            (["obs", "slo", "--spec", "{spec}", "--journal"], "not json\n"),
+        ],
+        ids=["export-metrics-not-json", "export-metrics-list",
+             "slo-journal-not-json"],
+    )
+    def test_unreadable_telemetry_source_is_cli_error(
+        self, tmp_path, capsys, command, content
+    ):
+        from repro.obs.slo import SLO_SCHEMA
 
-        trajectory = tmp_path / "traj.jsonl"
-        with trajectory.open("w") as fh:
-            for wall in (0.1, 0.1, 0.1, 0.4):
-                fh.write(json.dumps(record("engine.demo", wall)) + "\n")
-        code = self._main(
-            ["bench", "compare", "--baseline", str(trajectory),
-             "--crash-dir", str(tmp_path / "crashes")]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "performance regression" in captured.err
-        # satellite: offending metric's baseline/candidate/delta in text
-        assert "baseline 100.000ms -> candidate 400.000ms" in captured.err
-        assert "delta +300.0%" in captured.err
-        reports = list((tmp_path / "crashes").glob("*.json"))
-        assert len(reports) == 1
-        assert read_crash_report(reports[0])["reason"] == "regression-gate"
-
-        code = self._main(
-            ["bench", "compare", "--baseline", str(trajectory),
-             "--format", "json"]
-        )
-        assert code == 1
-        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
-        # satellite: JSON mode carries the same numbers
-        assert verdict["baseline_wall_s"] == pytest.approx(0.1)
-        assert verdict["candidate_wall_s"] == pytest.approx(0.4)
-        assert verdict["ratio"] == pytest.approx(4.0)
-        assert verdict["delta_pct"] == pytest.approx(300.0)
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps({"schema": SLO_SCHEMA, "rules": [
+            {"name": "rounds", "metric": "counter:sim.rounds",
+             "op": ">=", "threshold": 0},
+        ]}))
+        source = tmp_path / "source"
+        source.write_text(content)
+        argv = [arg.format(spec=spec) for arg in command] + [str(source)]
+        assert self._main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_live_flag_is_harmless_without_tty(self, tmp_path, capsys):
         code = self._main(

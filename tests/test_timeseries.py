@@ -1,7 +1,6 @@
 """Bounded decimating timeseries: the Series buffer itself, the
-registry/journal/merge plumbing around it, and the flows-facing ends —
-instrumented simulators emitting real curves and the ``repro obs
-report`` flows section.
+registry/journal/merge plumbing around it, and the flows-facing end —
+instrumented simulators emitting real curves.
 
 A second byte-for-byte golden journal
 (``tests/golden/flows_journal_deterministic.jsonl``) pins the
@@ -299,62 +298,3 @@ class TestFlowsRunJournalCLI:
         snapshot = read_metrics_json(metrics)
         assert replayed["series"] == snapshot["series"]
         assert replayed["counters"] == snapshot["counters"]
-
-
-class TestReportFlowsSection:
-    """Satellite: the trajectory report's flows table."""
-
-    def _record(self, bench, throughput, median, meta, started="2026-01-01"):
-        return {
-            "bench": bench,
-            "median_wall_s": median,
-            "throughput": throughput,
-            "unit": "events",
-            "meta": meta,
-            "env": {"git_sha": "abc", "python": "3", "numpy": "2",
-                    "cpu_count": 4},
-            "started_at": started,
-        }
-
-    def test_flows_rows_pull_fct_meta_and_trend(self):
-        from repro.obs.perf.report import flows_rows
-
-        records = [
-            self._record("flows.knockout", 1000.0, 0.2,
-                         {"fabric": "knockout", "fct_p50": 12.0,
-                          "fct_p99": 80.0}),
-            self._record("flows.knockout", 2000.0, 0.1,
-                         {"fabric": "knockout", "fct_p50": 11.0,
-                          "fct_p99": 70.0}),
-            self._record("engine.batch", 5.0, 0.3, {}),
-        ]
-        rows = flows_rows(records)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["bench"] == "flows.knockout"
-        assert row["fct p50"] == "11"
-        assert row["fct p99"] == "70"
-        assert len(row["trend"]) == 2
-
-    def test_trajectory_report_renders_flows_section(self):
-        from repro.obs.perf.report import trajectory_report
-
-        records = [
-            self._record("flows.knockout", 1500.0, 0.2,
-                         {"fabric": "knockout", "fct_p50": 12.0,
-                          "fct_p99": 80.0}),
-        ]
-        for fmt in ("table", "md"):
-            text = trajectory_report(records, fmt=fmt)
-            assert "flows" in text.lower()
-            assert "knockout" in text
-            assert "cpus=4" in text
-
-    def test_missing_fct_meta_renders_dashes(self):
-        from repro.obs.perf.report import flows_rows
-
-        rows = flows_rows(
-            [self._record("flows.concentrator", None, 0.2, {})]
-        )
-        assert rows[0]["fct p50"] == "-"
-        assert rows[0]["events/s"] == "-"
