@@ -1034,7 +1034,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             workers=workers,
-            executor=args.backend,
         )
         tele.advance("compare", len(k_values), len(k_values))
         if args.format == "json":
@@ -1833,15 +1832,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="workers for the batched path (0 = one per core); "
-        "results are identical for any worker count",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="how --workers fan out: thread pool (default) or the "
-        "sharded multiprocess engine pool",
+        help="worker processes for the (switch, k) items (0 = one per "
+        "core; 1 runs in-process), supervised like certify; results are "
+        "identical for any worker count",
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument(
@@ -1954,8 +1947,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pfc.add_argument(
         "--workers", type=int, default=1,
-        help="fan fabrics out over threads (0 = one per core); results "
-        "are identical for any worker count",
+        help="worker processes for the fabrics (0 = one per core; 1 runs "
+        "in-process), supervised like certify; results are identical for "
+        "any worker count",
     )
     _add_flows_workload_flags(pfc)
     pfc.set_defaults(flows_func=cmd_flows_compare)

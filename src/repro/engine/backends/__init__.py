@@ -2,7 +2,8 @@
 
 ``get_backend("scalar" | "batch" | "packed" | "netlist" | "process")``
 returns an :class:`~repro.engine.backends.base.EngineBackend`; see
-``docs/performance.md`` ("Scaling") for when each wins.
+``docs/performance.md`` ("Scaling") for when each wins.  Every parallel
+path in the package fans out through :func:`fanout`.
 """
 
 from repro.engine.backends.base import (
@@ -22,6 +23,7 @@ from repro.engine.backends.base import (
     shard_valid,
     summarize_batch,
 )
+from repro.engine.backends.fanout import fanout
 from repro.engine.backends.local import (
     BatchBackend,
     NetlistBackend,
@@ -63,6 +65,7 @@ __all__ = [
     "add_event_sink",
     "backend_names",
     "chaos_from_env",
+    "fanout",
     "get_backend",
     "register_backend",
     "remove_event_sink",

@@ -131,10 +131,9 @@ def _sample_worker_vitals() -> None:
     (private) registry; after the merge they surface in the parent as
     ``proc.rss_kb{pid=...,worker=...}`` etc. — per-worker provenance
     the parent-side resource sampler cannot provide.  The ``pid`` label
-    lets aggregators (the bench suite's child-RSS roll-up) dedupe the
-    many per-shard samples of one worker process, and distinguish real
-    pool children from the inline ``workers == 1`` fallback running in
-    the parent."""
+    lets aggregators dedupe the many per-shard samples of one worker
+    process, and distinguish real pool children from a degraded shard
+    running in the parent."""
     import os
 
     from repro.obs.live.resource import sample_process
@@ -188,9 +187,9 @@ def run_collected(fn, job: dict) -> tuple[object, dict]:
     collect metrics into a private registry, and return
     ``(result, portable_snapshot)``.
 
-    Also the serial in-process fallback (``workers == 1`` runs this
-    inline), so journals and provenance labels look the same for every
-    worker count.
+    Also the supervisor's in-process fallback for a shard that
+    exhausted its retries, so a degraded shard's metrics merge exactly
+    like a worker's.
     """
     from repro.obs.live.merge import portable_snapshot, roundtrip
     from repro.obs.tracectx import child_context

@@ -15,12 +15,12 @@ vectorized batch engine, and the results come back two ways:
   which the parent folds as shards complete — peak memory stays flat
   at 10⁷+ trials because full trial arrays never exist anywhere.
 
-Each shard runs under a private :mod:`repro.obs` registry
-(:func:`~repro.engine.backends.pool.run_collected`); the parent merges
-the portable snapshots back in shard order, so counters and histograms
-land in their original keys and gauges/spans carry
-``{worker=shard-N}`` provenance.  ``workers == 1`` short-circuits to
-in-process execution through the very same shard plan, which is why
+Shards go out through :func:`~repro.engine.backends.fanout.fanout`:
+on the supervised pool each shard runs under a private :mod:`repro.obs`
+registry whose snapshot merges back in shard order, so counters and
+histograms land in their original keys and gauges/spans carry
+``{worker=shard-N}`` provenance.  ``workers == 1`` runs the very same
+shard plan in-process under the caller's registry, which is why
 results are byte-identical for any worker count.
 """
 
@@ -44,18 +44,9 @@ from repro.engine.backends.base import (
     shard_valid,
     summarize_batch,
 )
-from repro.engine.backends.pool import (
-    as_shm_array,
-    attach_shm,
-    run_collected,
-    shared_pool,
-    shm_segments,
-)
-from repro.engine.backends.supervisor import (
-    ShardSupervisor,
-    SupervisorPolicy,
-    chaos_from_env,
-)
+from repro.engine.backends.fanout import fanout
+from repro.engine.backends.pool import as_shm_array, attach_shm, shm_segments
+from repro.engine.backends.supervisor import SupervisorPolicy
 
 
 def _routing_shard_job(job: dict) -> dict:
@@ -111,7 +102,6 @@ class ShardedBackend(EngineBackend):
         max_retries: int = 2,
         backoff_s: float = 0.05,
         degrade: bool = True,
-        _test_chaos: dict | None = None,
         **_options,
     ) -> None:
         self.workers = resolve_workers(workers)
@@ -122,7 +112,6 @@ class ShardedBackend(EngineBackend):
             backoff_s=float(backoff_s),
             degrade=bool(degrade),
         )
-        self._test_chaos = _test_chaos
 
     def capabilities(self) -> frozenset:
         return frozenset(
@@ -131,67 +120,18 @@ class ShardedBackend(EngineBackend):
 
     # -- dispatch plumbing -------------------------------------------
 
-    def _jobs(self, switch, jobs: list[dict]) -> None:
-        """Attach shard indices and the plan payload."""
-        payload = None
-        if self.workers > 1:
-            key = self.plan_key(switch)
-            payload = shared_pool(self.workers).plan_payload([key])
-        for index, job in enumerate(jobs):
-            job["shard"] = index
-            if payload:
-                job["plans"] = payload
-
     def _dispatch(self, switch, fn, jobs: list[dict]) -> list[object]:
-        """Run the shard jobs (pool or inline), merge worker snapshots
-        back in shard order, and return per-shard results in shard
-        order.
-
-        Pool dispatch is supervised (:mod:`.supervisor`): a dead or
-        deadline-stuck worker costs a retry and a pool respawn, never
-        the run — and because every shard's entropy is keyed to its
-        position, retried results are byte-identical to a clean run's.
-
-        The whole round runs inside one ``engine.shards`` span; when a
-        trace context is active its span id is shipped to every shard
-        as the causal parent of the worker's root spans, which is how
-        ``repro obs analyze`` stitches per-worker subtrees back under
-        the dispatching command.
-        """
-        self._jobs(switch, jobs)
+        """Run the shard jobs through :func:`.fanout.fanout` (supervised
+        pool, or inline at ``workers == 1``) and return per-shard
+        results in shard order.  Every shard's entropy is keyed to its
+        position, so retried results are byte-identical to a clean
+        run's."""
         for _ in jobs:
             obs.counter("engine.shards", backend=self.name).inc()
-        parent = obs.get_registry()
-        with parent.span("engine.shards", backend=self.name, shards=len(jobs)):
-            ctx = parent.tracer.context if parent.enabled else None
-            if ctx is not None:
-                dispatch_id = parent.tracer.active_span_id
-                for job in jobs:
-                    job["trace"] = ctx.ship(
-                        parent_id=dispatch_id, prefix=f"shard-{job['shard']}"
-                    )
-            if self.workers > 1 and len(jobs) > 1:
-                chaos = self._test_chaos or chaos_from_env()
-                if chaos:
-                    for job in jobs:
-                        job["chaos"] = dict(chaos)
-                supervisor = ShardSupervisor(
-                    shared_pool(self.workers),
-                    self.policy,
-                    plan_keys=[self.plan_key(switch)],
-                    label=self.name,
-                )
-                outcomes = supervisor.run(fn, jobs)
-            else:
-                outcomes = [run_collected(fn, job) for job in jobs]
-            results = []
-            for index, (result, snapshot) in enumerate(outcomes):
-                if parent.enabled:
-                    from repro.obs.live.merge import merge_portable
-
-                    merge_portable(parent, snapshot, worker=f"shard-{index}")
-                results.append(result)
-        return results
+        return fanout(
+            fn, jobs, workers=self.workers, label="shard",
+            plan_keys=[self.plan_key(switch)], policy=self.policy,
+        )
 
     # -- the protocol ------------------------------------------------
 

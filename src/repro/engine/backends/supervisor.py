@@ -21,7 +21,13 @@ build on:
 * **graceful degradation** — a shard that exhausts its retry budget
   runs in-process in the parent (chaos hooks stripped) instead of
   crashing the run; only if that also fails does the supervisor raise
-  :class:`~repro.errors.ExecutionError` (CLI exit 3).
+  :class:`~repro.errors.ExecutionError` (CLI exit 3);
+* **unshippable jobs** — a job the parent cannot pickle would fail the
+  same way on every attempt, so it is not a transient failure: the
+  first such failure raises :class:`~repro.errors.ConfigurationError`
+  (CLI exit 2) naming the job, with no retry charged and no fallback.
+  The job is test-pickled only after it failed, so a clean round
+  pickles each job once.
 
 Observability: the whole recovery loop runs inside an
 ``engine.supervisor`` span; resubmissions, deadline expiries, respawns,
@@ -35,9 +41,10 @@ can name the shard that killed its worker.
 Chaos hooks: a job dict may carry a ``chaos`` entry (see
 :func:`repro.engine.backends.pool.maybe_die`) with ``die_mode`` one of
 ``exit`` (``os._exit``), ``kill`` (SIGKILL to self), ``raise``, or
-``sleep`` (sleep past the deadline) — test-only fault injection,
-settable via the ``REPRO_CHAOS`` environment variable for CLI-level
-chaos tests (never set outside tests/CI).
+``sleep`` (sleep past the deadline) — test-only fault injection whose
+one source is the ``REPRO_CHAOS`` environment variable, read once per
+round by :func:`repro.engine.backends.fanout.fanout` (never set
+outside tests/CI).
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 
 #: Failure classes the supervisor distinguishes.
 REASON_WORKER_DEATH = "worker-death"
@@ -79,6 +86,33 @@ def _emit_event(kind: str, **fields: object) -> None:
         except Exception:
             # A broken consumer must not take the dispatch down.
             pass
+
+
+def _picklable(value) -> bool:
+    from multiprocessing.reduction import ForkingPickler
+
+    try:
+        ForkingPickler.dumps(value)
+    except Exception:
+        return False
+    return True
+
+
+def _refuse_unshippable(fn, job: dict, index: int, label: str) -> None:
+    """Raise :class:`ConfigurationError` if ``(fn, job)`` cannot be
+    pickled for a worker process.  Called only for a job that already
+    failed, so clean rounds never pay for a second pickling."""
+    if _picklable((fn, job)):
+        return
+    field = next(
+        (key for key, value in [("fn", fn), *job.items()] if not _picklable(value)),
+        "job",
+    )
+    raise ConfigurationError(
+        f"{label} job {index}: {field!r} cannot be pickled for a worker "
+        f"process; pass module-level callables and picklable values, or "
+        f"run with workers=1"
+    )
 
 
 def chaos_from_env() -> dict | None:
@@ -264,6 +298,9 @@ class ShardSupervisor:
                         except CancelledError:
                             retry.append((index, REASON_WORKER_DEATH, False))
                         except Exception:
+                            _refuse_unshippable(
+                                fn, entry["job"], index, self.label
+                            )
                             retry.append((index, REASON_TRANSIENT, True))
                         else:
                             results[index] = outcome

@@ -5,24 +5,24 @@ fabric simulates *exactly the same flows* — identical offered load,
 identical arrival times, identical sizes — so differences in the
 flow-completion-time percentiles and loss are attributable to the
 fabric alone.  Each fabric's simulation is independent and
-deterministic, which is why the study may fan fabrics out over a
-thread pool (``workers > 1``) without changing a single byte of any
-result: per-fabric telemetry is collected in private registries and
-merged back in fabric order, mirroring the worker-determinism contract
-of :func:`repro.analysis.sweep.sweep`.
+deterministic, which is why the study may fan fabrics out over the
+supervised worker pool (``workers > 1``, see
+:func:`repro.engine.backends.fanout.fanout`) without changing a single
+byte of any result: per-fabric telemetry is collected in private worker
+registries and merged back in fabric order with ``flows-<fabric>``
+provenance, and a dead worker costs a retry, not the study.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.engine.backends.fanout import fanout
 from repro.errors import ConfigurationError
 from repro.network.flows.fabric import build_fabric, fabric_names
 from repro.network.flows.sim import FlowSim, FlowSimResult
 from repro.network.flows.workload import WorkloadSpec, generate_flows
-from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
 
 
 @dataclass
@@ -85,6 +85,16 @@ def run_fabric(
     return sim.run()
 
 
+def _fabric_job(job: dict) -> FlowSimResult:
+    """Simulate one fabric of a head-to-head study over the shared
+    flow list (in-process or in a worker)."""
+    stage = build_fabric(job["fabric"], job["n"], **job["params"])
+    return FlowSim(
+        stage, job["flows"], backpressure=job["backpressure"],
+        max_cycles=job["max_cycles"],
+    ).run()
+
+
 def head_to_head(
     spec: WorkloadSpec,
     fabrics: list[str] | None = None,
@@ -110,36 +120,14 @@ def head_to_head(
         )
     flows = generate_flows(spec)
     cap = max_cycles or _default_max_cycles(spec)
-
-    def _one(name: str) -> FlowSimResult:
-        stage = build_fabric(name, spec.n, **fabric_params)
-        return FlowSim(
-            stage, flows, backpressure=backpressure, max_cycles=cap
-        ).run()
-
+    jobs = [
+        {"fabric": name, "n": spec.n, "params": fabric_params, "flows": flows,
+         "backpressure": backpressure, "max_cycles": cap,
+         "worker": f"flows-{name}"}
+        for name in names
+    ]
     report = CompareReport(workload=spec, fabrics=names)
-    parent = obs.get_registry()
-    with parent.span("flows.compare", fabrics=",".join(names), n=spec.n):
-        if workers > 1 and parent.enabled:
-            # Each fabric collects telemetry into a private registry;
-            # the snapshots merge back in fabric order, so metrics are
-            # independent of thread interleaving.
-            def _collected(name: str) -> tuple[FlowSimResult, dict]:
-                local = obs.Registry()
-                with obs.using(local):
-                    result = _one(name)
-                return result, roundtrip(portable_snapshot(local))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_collected, names))
-            for name, (result, snapshot) in zip(names, outcomes):
-                merge_portable(parent, snapshot, worker=f"flows-{name}")
-                report.results[name] = result
-        elif workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for name, result in zip(names, pool.map(_one, names)):
-                    report.results[name] = result
-        else:
-            for name in names:
-                report.results[name] = _one(name)
+    with obs.span("flows.compare", fabrics=",".join(names), n=spec.n):
+        results = fanout(_fabric_job, jobs, workers=workers, label="flows")
+    report.results.update(zip(names, results))
     return report

@@ -19,17 +19,16 @@ everything; past m, both saturate at m.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
 from repro._util.rng import default_rng
+from repro.engine.backends.fanout import fanout
 from repro.errors import ConfigurationError
 from repro.messages.congestion import CongestionPolicy, DropPolicy
 from repro.messages.message import Message
-from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
 from repro.switches.base import ConcentratorSwitch
 
 logger = logging.getLogger(__name__)
@@ -322,7 +321,8 @@ def _batched_k_trial(
 
 
 def _compare_job(job: dict) -> float:
-    """Worker-process body for one (switch, k) comparison item."""
+    """Body of one (switch, k) comparison item (in-process or in a
+    worker)."""
     return _batched_k_trial(
         job["switch"], job["k"], job["trials"], job["entropy"]
     )
@@ -335,7 +335,6 @@ def compare_partial_vs_perfect(
     trials: int = 20,
     seed: int | None = None,
     workers: int = 0,
-    executor: str = "thread",
 ) -> dict[int, dict[str, float]]:
     """The Section 1 substitution experiment.
 
@@ -344,108 +343,33 @@ def compare_partial_vs_perfect(
     (n/α, m/α, α) partial concentrator standing in for it.  The paper's
     claim: for k ≤ m both route k; for k > m both route (at least) m.
 
-    ``workers=0`` (the default) preserves the legacy serial draw order
-    exactly.  ``workers >= 1`` switches to the batched engine path: each
-    (switch, k) work item gets its own ``SeedSequence`` child keyed by
-    its position, the trials run through :meth:`setup_batch`, and
-    ``workers > 1`` fans the items out — over a thread pool by default,
-    or over the persistent multiprocess engine pool with
-    ``executor="process"`` — so the results are identical for any
-    worker count and either executor, but differ from the serial draw
-    order.
+    Each (switch, k) work item gets its own ``SeedSequence`` child keyed
+    by its position, and its trials run through :meth:`setup_batch`;
+    ``workers > 1`` fans the items out over the supervised worker pool
+    (:func:`repro.engine.backends.fanout.fanout`), so the results are
+    identical for any worker count.  Worker metrics merge back with
+    ``perfect-k<k>`` / ``partial-k<k>`` provenance labels.
     """
-    if executor not in ("thread", "process"):
-        raise ConfigurationError(
-            f"unknown compare executor {executor!r} (thread or process)"
-        )
-    if workers >= 1:
-        items = [(sw, k) for k in k_values for sw in (perfect, partial)]
-        children = np.random.SeedSequence(seed).spawn(len(items))
-        labels = [
-            f"{kind}-k{k}" for k in k_values for kind in ("perfect", "partial")
-        ]
-        jobs = [
-            (sw, k, child) for (sw, k), child in zip(items, children)
-        ]
-
-        def _one(job: tuple) -> float:
-            sw, k, child = job
-            return _batched_k_trial(sw, k, trials, child)
-
-        parent = obs.get_registry()
-        if workers > 1 and executor == "process":
-            # Persistent process pool: plans ship once per design key,
-            # each item collects into a private worker registry, and
-            # the snapshots merge back in work-list order below.
-            from repro.engine.backends.pool import shared_pool
-
-            pool = shared_pool(workers)
-            payload = pool.plan_payload(
-                [
-                    getattr(getattr(sw, "_plan", None), "key", None)
-                    for sw in (perfect, partial)
-                ]
-            )
-            futures = []
-            for index, (sw, k, child) in enumerate(jobs):
-                job = {
-                    "switch": sw,
-                    "k": k,
-                    "trials": trials,
-                    "entropy": child,
-                    "shard": index,
-                }
-                if payload:
-                    job["plans"] = payload
-                futures.append(pool.submit(_compare_job, job))
-            means = []
-            for label, future in zip(labels, futures):
-                mean, snapshot = future.result()
-                if parent.enabled:
-                    merge_portable(parent, snapshot, worker=label)
-                means.append(mean)
-        elif workers > 1 and parent.enabled:
-            # Each job routes through the batched engine, which emits
-            # engine.* metrics and spans: give every job a private
-            # thread-local registry and merge the portable snapshots
-            # back in job order (see repro.obs.live.merge).
-            def _one_collected(job: tuple) -> tuple[float, dict]:
-                local = obs.Registry()
-                with obs.using(local):
-                    mean = _one(job)
-                return mean, roundtrip(portable_snapshot(local))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_one_collected, jobs))
-            means = []
-            for label, (mean, snapshot) in zip(labels, outcomes):
-                merge_portable(parent, snapshot, worker=label)
-                means.append(mean)
-        elif workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                means = list(pool.map(_one, jobs))
-        else:
-            means = [_one(job) for job in jobs]
-        return {
-            k: {"perfect": means[2 * i], "partial": means[2 * i + 1]}
-            for i, k in enumerate(k_values)
-        }
-
-    rng = default_rng(seed)
-    results: dict[int, dict[str, float]] = {}
-    for k in k_values:
-        routed_perfect = []
-        routed_partial = []
-        for _ in range(trials):
-            vp = np.zeros(perfect.n, dtype=bool)
-            vp[rng.choice(perfect.n, size=min(k, perfect.n), replace=False)] = True
-            routed_perfect.append(perfect.setup(vp).routed_count)
-
-            vq = np.zeros(partial.n, dtype=bool)
-            vq[rng.choice(partial.n, size=min(k, partial.n), replace=False)] = True
-            routed_partial.append(partial.setup(vq).routed_count)
-        results[k] = {
-            "perfect": float(np.mean(routed_perfect)),
-            "partial": float(np.mean(routed_partial)),
-        }
-    return results
+    items = [
+        (kind, sw, k)
+        for k in k_values
+        for kind, sw in (("perfect", perfect), ("partial", partial))
+    ]
+    children = np.random.SeedSequence(seed).spawn(len(items))
+    jobs = [
+        {"switch": sw, "k": k, "trials": trials, "entropy": child,
+         "worker": f"{kind}-k{k}"}
+        for (kind, sw, k), child in zip(items, children)
+    ]
+    plan_keys = [
+        getattr(getattr(sw, "_plan", None), "key", None)
+        for sw in (perfect, partial)
+    ]
+    means = fanout(
+        _compare_job, jobs, workers=workers, label="compare",
+        plan_keys=plan_keys,
+    )
+    return {
+        k: {"perfect": means[2 * i], "partial": means[2 * i + 1]}
+        for i, k in enumerate(k_values)
+    }

@@ -44,10 +44,12 @@ CATALOG: tuple[MetricInfo, ...] = (
     MetricInfo("engine.shards", "counter", ("backend",),
                "trial shards dispatched by an engine backend's "
                "run_stream/run_trials fan-out, by backend name; also the "
-               "span wrapping the whole dispatch round (meta: backend, "
-               "shards) — the causal parent shipped to every worker"),
+               "span wrapping every fan-out round (meta: backend = the "
+               "round's label, shards) — the causal parent shipped to "
+               "every worker"),
     MetricInfo("engine.shard", "span", (),
-               "one shard executing in a worker (meta: shard index)"),
+               "one fan-out job executing, in a worker or in-process "
+               "(meta: shard index)"),
     MetricInfo("engine.supervisor", "span", (),
                "one supervised dispatch round over the worker pool "
                "(meta: shards, workers, label) — wraps submission, the "

@@ -1,10 +1,10 @@
 """The cross-process aggregation protocol.
 
-Worker threads and (future) worker processes collect into their own
-private :class:`~repro.obs.registry.Registry` (installed thread-locally
-with :func:`repro.obs.registry.using`), then report back to the parent
-as a *portable snapshot* — a pure-JSON document that survives a
-process boundary::
+Each job a pool worker runs collects into its own private
+:class:`~repro.obs.registry.Registry` (see
+:func:`repro.engine.backends.pool.run_collected`), then reports back to
+the parent as a *portable snapshot* — a pure-JSON document that
+survives a process boundary::
 
     {"schema": "repro.obs/worker@1", "worker": "task3",
      "counters": {...}, "gauges": {...}, "histograms": {...},
@@ -13,10 +13,11 @@ process boundary::
 The parent folds each document in with :func:`merge_portable` in a
 deterministic (work-list) order: counters and histograms merge into
 their global keys, gauges and spans keep ``worker`` provenance labels
-(see :meth:`Registry.merge_snapshot`).  ``analysis.sweep`` and
-``compare_partial_vs_perfect`` already speak this protocol over
-threads; the sharded multiprocess engine backend will ship the same
-documents over pipes.
+(see :meth:`Registry.merge_snapshot`).  Every parallel path speaks
+this protocol through one fan-out,
+:func:`repro.engine.backends.fanout.fanout`, which merges in job order
+with each job's provenance label (``shard-N``, ``certify-<chunk>``,
+``sweep-N``, ``perfect-k8``, ``flows-<fabric>``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ def merge_portable(
 
 def roundtrip(document: dict) -> dict:
     """JSON-encode and decode a portable snapshot — what an actual
-    process boundary does.  Thread-based workers call this too, so the
-    protocol is exercised (and its JSON-safety enforced) on every
-    parallel run, not just in the future multiprocess backend."""
+    process boundary does; workers call this before returning, so the
+    protocol's JSON-safety is enforced on every parallel run."""
     return json.loads(json.dumps(document))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +19,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_pool_outlives_the_session():
+    """Shut every worker pool down at session end and require that no
+    child process is left running."""
+    yield
+    from repro.engine.backends import shutdown_pools
+
+    shutdown_pools()
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"child processes outlived the test session: {leftover}"
 
 
 @pytest.fixture

@@ -258,16 +258,18 @@ class TestBitParallelGates:
         )
 
 
+def _seeded_measure(value, rng):
+    # Module level: a parallel sweep pickles its measure for the pool.
+    return {"draw": float(rng.random()), "sq": value * value}
+
+
 class TestDeterministicParallelism:
     def test_sweep_workers_do_not_change_results(self):
-        def measure(value, rng):
-            return {"draw": float(rng.random()), "sq": value * value}
-
         params = [1, 2, 3, 4, 5, 6]
-        serial = sweep(params, measure, seed=11)
-        threaded = sweep(params, measure, seed=11, workers=4)
-        assert serial == threaded
-        assert [row["param"] for row in threaded] == params
+        serial = sweep(params, _seeded_measure, seed=11)
+        parallel = sweep(params, _seeded_measure, seed=11, workers=4)
+        assert serial == parallel
+        assert [row["param"] for row in parallel] == params
 
     def test_compare_partial_vs_perfect_workers_deterministic(self):
         perfect = PerfectConcentrator(48, 36)

@@ -53,6 +53,16 @@ def _chaos_token(tmp_path) -> str:
     return str(tmp_path / "chaos.token")
 
 
+def _set_chaos(monkeypatch, spec: str, token: str | None = None) -> None:
+    """Arm ``REPRO_CHAOS`` (the one chaos injection path, read once per
+    fan-out round); ``token`` makes the failure fire exactly once."""
+    monkeypatch.setenv("REPRO_CHAOS", spec)
+    if token is None:
+        monkeypatch.delenv("REPRO_CHAOS_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CHAOS_TOKEN", token)
+
+
 class TestPoolRespawn:
     def test_respawn_resets_plan_shipping(self):
         """Satellite fix: a respawned pool's children start with empty
@@ -148,20 +158,24 @@ class TestSupervisedStream:
     match the in-process batch backend bit for bit."""
 
     @pytest.mark.parametrize("mode", ["kill", "exit"])
-    def test_worker_death_is_retried_and_identical(self, tmp_path, mode):
-        chaos = {"die_mode": mode, "once_token": _chaos_token(tmp_path)}
+    def test_worker_death_is_retried_and_identical(
+        self, tmp_path, monkeypatch, mode
+    ):
+        _set_chaos(monkeypatch, mode, _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3, _test_chaos=chaos)
+            backend = get_backend("process", workers=3)
             got = backend.run_stream(_switch(), SPEC)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.shard_retries", 0) >= 1
         assert counters.get("engine.pool_respawns", 0) >= 1
 
-    def test_transient_exception_is_retried_and_identical(self, tmp_path):
-        chaos = {"die_mode": "raise", "once_token": _chaos_token(tmp_path)}
+    def test_transient_exception_is_retried_and_identical(
+        self, tmp_path, monkeypatch
+    ):
+        _set_chaos(monkeypatch, "raise", _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3, _test_chaos=chaos)
+            backend = get_backend("process", workers=3)
             got = backend.run_stream(_switch(), SPEC)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
@@ -169,52 +183,42 @@ class TestSupervisedStream:
         # A transient in-job exception needs no executor teardown.
         assert counters.get("engine.pool_respawns", 0) == 0
 
-    def test_deadline_expiry_kills_and_retries(self, tmp_path):
-        chaos = {
-            "die_mode": "sleep", "sleep_s": 60.0, "shard": 0,
-            "once_token": _chaos_token(tmp_path),
-        }
+    def test_deadline_expiry_kills_and_retries(self, tmp_path, monkeypatch):
+        _set_chaos(monkeypatch, "sleep:0:60", _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend(
-                "process", workers=3, deadline_s=1.0, _test_chaos=chaos
-            )
+            backend = get_backend("process", workers=3, deadline_s=1.0)
             got = backend.run_stream(_switch(), SPEC)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.shard_timeouts", 0) >= 1
         assert counters.get("engine.pool_respawns", 0) >= 1
 
-    def test_exhausted_budget_degrades_to_in_process(self):
+    def test_exhausted_budget_degrades_to_in_process(self, monkeypatch):
         # Shard 2 fails on *every* attempt (no once-token): after the
         # retry budget it must run inline in the parent — with the
         # chaos payload stripped — and still produce identical output.
-        chaos = {"die_mode": "raise", "shard": 2}
+        _set_chaos(monkeypatch, "raise:2")
         with obs.collecting() as registry:
-            backend = get_backend(
-                "process", workers=3, max_retries=1, _test_chaos=chaos
-            )
+            backend = get_backend("process", workers=3, max_retries=1)
             got = backend.run_stream(_switch(), SPEC)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.degraded_fallbacks", 0) >= 1
 
-    def test_degradation_disabled_raises_execution_error(self):
-        chaos = {"die_mode": "raise", "shard": 2}
+    def test_degradation_disabled_raises_execution_error(self, monkeypatch):
+        _set_chaos(monkeypatch, "raise:2")
         backend = get_backend(
             "process", workers=3, max_retries=1, degrade=False,
-            _test_chaos=chaos,
         )
         with pytest.raises(ExecutionError) as excinfo:
             backend.run_stream(_switch(), SPEC)
         assert exit_code_for(excinfo.value) == 3
 
-    def test_no_shm_leaked_after_chaos(self, tmp_path, rng):
+    def test_no_shm_leaked_after_chaos(self, tmp_path, rng, monkeypatch):
         # run_trials crosses shared memory; kill a worker mid-round and
         # check the parent's segment registry drains.
-        chaos = {"die_mode": "kill", "once_token": _chaos_token(tmp_path)}
-        backend = get_backend(
-            "process", workers=2, shard_trials=64, _test_chaos=chaos
-        )
+        _set_chaos(monkeypatch, "kill", _chaos_token(tmp_path))
+        backend = get_backend("process", workers=2, shard_trials=64)
         valid = rng.random((256, 16)) < 0.5
         batch = backend.run_trials(_switch(), valid)
         ref = get_backend("batch").run_trials(_switch(), valid)

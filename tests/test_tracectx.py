@@ -270,26 +270,46 @@ class TestAnalyzeJournal:
             assert "verify" in text  # the phase row
 
 
+def _traced_stream_spans(workers: int) -> list[dict]:
+    from repro.engine.backends.base import StreamSpec
+    from repro.engine.backends.sharded import ShardedBackend
+    from repro.switches.perfect import PerfectConcentrator
+
+    backend = ShardedBackend(workers=workers, shard_trials=8)
+    switch = PerfectConcentrator(8, 6)
+    with obs.collecting() as registry:
+        registry.tracer.context = TraceContext(trace_id="t-backend")
+        backend.run_stream(
+            switch, StreamSpec(trials=16, load="half", seed=3, shard_trials=8)
+        )
+    return registry.snapshot()["spans"]["events"]
+
+
 class TestShardedBackendPropagation:
     def test_inline_dispatch_ships_context(self):
-        """workers == 1 runs shards inline through the same plumbing:
-        worker spans must still link under the dispatch span."""
-        from repro.engine.backends.base import StreamSpec
-        from repro.engine.backends.sharded import ShardedBackend
-        from repro.switches.perfect import PerfectConcentrator
-
-        backend = ShardedBackend(workers=1, shard_trials=8)
-        switch = PerfectConcentrator(8, 6)
-        with obs.collecting() as registry:
-            registry.tracer.context = TraceContext(trace_id="t-backend")
-            backend.run_stream(
-                switch, StreamSpec(trials=16, load="half", seed=3)
-            )
-        spans = registry.snapshot()["spans"]["events"]
+        """workers == 1 runs shards inline under the caller's own
+        registry: the shard spans are the caller's spans (its context,
+        no worker provenance), nested under the dispatch span."""
+        spans = _traced_stream_spans(workers=1)
         dispatch = [s for s in spans if s["name"] == "engine.shards"]
         assert len(dispatch) == 1
         shard_spans = [s for s in spans if s["name"] == "engine.shard"]
-        assert shard_spans, "expected merged worker spans"
+        assert len(shard_spans) == 2
+        for span in shard_spans:
+            assert span["parent_id"] == dispatch[0]["span_id"]
+            assert span["span_id"].startswith("main:")
+            assert "worker" not in span["meta"]
+        tree = causal_tree(spans)
+        assert tree["untraced"] == 0
+
+    def test_pool_dispatch_ships_context(self):
+        """workers > 1: each worker's root span links under the
+        dispatch span through the shipped trace context."""
+        spans = _traced_stream_spans(workers=2)
+        dispatch = [s for s in spans if s["name"] == "engine.shards"]
+        assert len(dispatch) == 1
+        shard_spans = [s for s in spans if s["name"] == "engine.shard"]
+        assert len(shard_spans) == 2
         for span in shard_spans:
             assert span["parent_id"] == dispatch[0]["span_id"]
             assert span["span_id"].startswith("shard-")
