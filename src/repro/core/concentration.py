@@ -91,7 +91,7 @@ def validate_routing_disjoint(routing: np.ndarray, n_outputs: int) -> None:
         raise ConcentrationError(
             f"routing targets output {used.max()} but the switch has {n_outputs} outputs"
         )
-    if np.unique(used).size != used.size:
+    if used.size and np.bincount(used, minlength=n_outputs).max() > 1:
         raise ConcentrationError("routing paths are not disjoint (output reused)")
 
 

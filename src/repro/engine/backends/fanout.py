@@ -13,9 +13,11 @@ flows head-to-head study (``flows-<fabric>``).  It has two paths:
   ships the plan payload, the ``REPRO_CHAOS`` fault-injection spec
   (test-only; read once per round) and, when the caller's registry is
   enabled, the trace context, so worker spans link under this round's
-  ``engine.shards`` span.  Each job collects its metrics in a private
-  worker registry; the snapshots merge back in job order with the
-  job's provenance label, never in completion order.
+  ``engine.shards`` span.  Under an enabled caller registry each job
+  collects its metrics in a private worker registry, and the snapshots
+  merge back in job order with the job's provenance label, never in
+  completion order; under a disabled one the jobs run with telemetry
+  off, as they would inline.
 * **inline** (``workers <= 1`` or a single job) — ``fn(job)`` runs in
   this process under the caller's own registry: no pickling, no
   private registry, no provenance labels.
@@ -85,6 +87,7 @@ def fanout(
         ctx = parent.tracer.context if parent.enabled else None
         dispatch_id = parent.tracer.active_span_id if ctx is not None else None
         for job, name in zip(jobs, names):
+            job["collect"] = parent.enabled
             if payload:
                 job["plans"] = payload
             if chaos:

@@ -19,7 +19,8 @@ Three pieces of process-boundary plumbing live here:
   CPython < 3.13 attaching registers it, and the tracker would unlink
   the parent's segment when the child exits.
 * **collected execution** — :func:`run_collected` runs a job under a
-  private :mod:`repro.obs` registry, samples the worker's own process
+  private :mod:`repro.obs` registry (the null registry when the parent
+  collects nothing), samples the worker's own process
   vitals (``proc.rss_kb`` et al. — the parent's resource sampler only
   sees the parent), and returns the result with a portable
   ``repro.obs/worker@1`` snapshot for the parent to merge in work-list
@@ -182,10 +183,13 @@ def maybe_die(chaos: dict | None, shard: int | None) -> None:
         time.sleep(float(chaos.get("sleep_s", 60.0)))
 
 
-def run_collected(fn, job: dict) -> tuple[object, dict]:
+def run_collected(fn, job: dict) -> tuple[object, dict | None]:
     """Execute ``fn(job)`` in a worker: restore any shipped plans,
     collect metrics into a private registry, and return
-    ``(result, portable_snapshot)``.
+    ``(result, portable_snapshot)``.  A job marked ``collect=False``
+    (the dispatching parent's registry is disabled) runs under the
+    null registry instead and returns ``(result, None)``, so the worker
+    pays nothing for telemetry nobody reads.
 
     Also the supervisor's in-process fallback for a shard that
     exhausted its retries, so a degraded shard's metrics merge exactly
@@ -199,6 +203,9 @@ def run_collected(fn, job: dict) -> tuple[object, dict]:
         PLAN_CACHE.restore(plans)
     maybe_die(job.pop("chaos", None), job.get("shard"))
     trace = job.pop("trace", None)
+    if not job.pop("collect", True):
+        with obs.using(obs.NULL_REGISTRY):
+            return fn(job), None
     local = obs.Registry()
     if trace is not None:
         # Rebuild the dispatching parent's trace context so this

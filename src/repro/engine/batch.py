@@ -133,7 +133,9 @@ def _compile_steps(plan: StagePlan):
             mask = np.int32(~(width - 1))  # chip_start = slot & mask
         else:
             mask = None
-        steps.append((entry, op.n_chips, width, _rank_dtype(width), mask))
+        steps.append(
+            (entry, op.n_chips, width, _rank_dtype(width), mask, op.flat32)
+        )
         pending = op.flat32
     else:
         compiled = (tuple(steps), pending)
@@ -164,14 +166,35 @@ def run_plan_sparse(
 
 
 def _run_plan_sparse_flat(
-    plan: StagePlan, valid: np.ndarray
+    plan: StagePlan,
+    valid: np.ndarray,
+    kills: list | None = None,
+    *,
+    resume: tuple | None = None,
+    record: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """As :func:`run_plan_sparse`, but also returns the flat index of
-    each tracked entry into ``valid.ravel()`` (for scatter reuse)."""
+    each tracked entry into ``valid.ravel()`` (for scatter reuse).
+
+    ``kills`` holds one ``None`` or ``(n,)`` bool mask of flat positions
+    per chip layer: right after that layer concentrates, the messages
+    on killed positions stop being tracked, so the returned arrays
+    cover only the survivors and later layers rank without them.
+    ``resume=(s, (flat_idx, rows, cols, at))`` starts from the state a
+    kill-free walk of the same batch had right after chip layer ``s``
+    (see :class:`PlanWalk`): layer ``s``'s kill is applied, then the
+    walk goes on.  ``record`` receives each chip layer's tracked
+    coordinates before its kill.
+    """
     batch, n = valid.shape
-    flat_idx = np.flatnonzero(valid)
-    rows = (flat_idx // n).astype(np.int32)
-    cols = flat_idx - rows.astype(np.int64) * n
+    if resume is None:
+        start = -1
+        flat_idx = np.flatnonzero(valid)
+        rows = (flat_idx // n).astype(np.int32)
+        cols = flat_idx - rows.astype(np.int64) * n
+        at = cols.astype(np.int32)  # slot coordinate or flat position
+    else:
+        start, (flat_idx, rows, cols, at) = resume
     row_base: dict[int, np.ndarray] = {}  # rows * slots, per slot count
 
     def base_for(slots: int) -> np.ndarray:
@@ -186,72 +209,144 @@ def _run_plan_sparse_flat(
 
     compiled = _compile_steps(plan)
     grp = np.zeros((batch, 0), dtype=bool)
+    meta = {} if kills is None else {"faulty": True}
+    with obs.span(
+        "engine.run_plan",
+        plan=str(plan.key), batch=batch, valid=int(flat_idx.size), **meta,
+    ):
+        if compiled is not None:
+            steps, finish = compiled
+            for layer, step in enumerate(steps):
+                if layer < start:
+                    continue
+                entry, n_chips, width, rank_dt, mask, flat32 = step
+                if layer > start:
+                    with obs.span(
+                        "engine.stage",
+                        kind="chip", layer=layer, chips=n_chips, width=width,
+                    ):
+                        slots = n_chips * width
+                        if grp.shape[1] != slots:
+                            grp = np.zeros((batch, slots), dtype=bool)
+                        else:
+                            grp[:] = False
+                        iv = entry[at]  # this layer's chip-major slot
+                        gf = base_for(slots) + iv  # flat (trial, slot) index
+                        grp.reshape(-1)[gf] = True
+                        cs = np.cumsum(grp.reshape(batch, n_chips, width),
+                                       axis=2, dtype=rank_dt)
+                        rank = cs.reshape(-1)[gf]  # 1-based rank in the chip
+                        if mask is not None:
+                            at = (iv & mask) - np.int32(1) + rank
+                        else:
+                            at = (iv // width) * np.int32(width) - np.int32(1) + rank
+                    if record is not None:
+                        record.append(at)
+                if kills is not None and kills[layer] is not None:
+                    # The layer's kill mask in slot space: kmask[flat32].
+                    keep = ~kills[layer][flat32][at]
+                    flat_idx, rows, cols, at = (
+                        flat_idx[keep], rows[keep], cols[keep], at[keep]
+                    )
+                    row_base.clear()
+            pos = at if finish is None else finish[at]
+            return flat_idx, rows, cols, pos
 
-    if compiled is not None:
-        steps, finish = compiled
-        with obs.span(
-            "engine.run_plan",
-            plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
-        ):
-            coord = cols.astype(np.int32)  # slot coordinate in the current space
-            for layer, (entry, n_chips, width, rank_dt, mask) in enumerate(steps):
+        # Generic walker: handles plans with partial chip layers, where
+        # untouched positions pass through a layer unchanged.
+        chip = -1  # index of the last chip layer walked
+        for layer, op in enumerate(plan.ops):
+            if isinstance(op, FixedPermutation):
+                if chip >= start:
+                    with obs.span("engine.stage", kind="perm", layer=layer):
+                        at = op.perm32[at]
+                continue
+            chip += 1
+            if chip < start:
+                continue
+            width = op.chip_width
+            if chip > start:
                 with obs.span(
                     "engine.stage",
-                    kind="chip", layer=layer, chips=n_chips, width=width,
+                    kind="chip", layer=layer, chips=op.n_chips, width=width,
                 ):
-                    slots = n_chips * width
+                    slots = op.flat32.size
                     if grp.shape[1] != slots:
                         grp = np.zeros((batch, slots), dtype=bool)
                     else:
                         grp[:] = False
-                    iv = entry[coord]  # this layer's chip-major slot
-                    gf = base_for(slots) + iv  # flat (trial, slot) index, reused
-                    grp.reshape(-1)[gf] = True
-                    cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
-                                   dtype=rank_dt)
-                    rank = cs.reshape(-1)[gf]  # 1-based rank among chip's valid
-                    if mask is not None:
-                        coord = (iv & mask) - np.int32(1) + rank
-                    else:
-                        coord = (iv // width) * np.int32(width) - np.int32(1) + rank
-            pos = coord if finish is None else finish[coord]
-        return flat_idx, rows, cols, pos
+                    base = base_for(slots)
+                    grp_flat = grp.reshape(-1)
+                    slot = np.take(op.cm_of, at, mode="clip")
+                    covered = (at < op.cm_of.size) & (slot >= 0)
+                    iv = np.where(covered, slot, 0)
+                    gf = base + iv
+                    grp_flat[gf[covered]] = True
+                    cs = np.cumsum(grp.reshape(batch, op.n_chips, width), axis=2,
+                                   dtype=np.int32)
+                    rank = cs.reshape(-1)[gf] - 1
+                    chip_start = (iv // width) * np.int32(width)
+                    at = np.where(covered, op.flat32[chip_start + rank], at)
+                if record is not None:
+                    record.append(at)
+            if kills is not None and kills[chip] is not None:
+                keep = ~kills[chip][at]
+                flat_idx, rows, cols, at = (
+                    flat_idx[keep], rows[keep], cols[keep], at[keep]
+                )
+                row_base.clear()
+    return flat_idx, rows, cols, at
 
-    # Generic walker: handles plans with partial chip layers, where
-    # untouched positions pass through a layer unchanged.
-    with obs.span(
-        "engine.run_plan",
-        plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
-    ):
-        pos = cols.astype(np.int32)  # current flat position of each valid input
-        for layer, op in enumerate(plan.ops):
-            if isinstance(op, FixedPermutation):
-                with obs.span("engine.stage", kind="perm", layer=layer):
-                    pos = op.perm32[pos]
-                continue
-            width = op.chip_width
-            with obs.span(
-                "engine.stage",
-                kind="chip", layer=layer, chips=op.n_chips, width=width,
-            ):
-                slots = op.flat32.size
-                if grp.shape[1] != slots:
-                    grp = np.zeros((batch, slots), dtype=bool)
-                else:
-                    grp[:] = False
-                base = base_for(slots)
-                grp_flat = grp.reshape(-1)
-                covered = (pos < op.cm_of.size) & (np.take(op.cm_of, pos,
-                                                           mode="clip") >= 0)
-                iv = np.where(covered, np.take(op.cm_of, pos, mode="clip"), 0)
-                gf = base + iv
-                grp_flat[gf[covered]] = True
-                cs = np.cumsum(grp.reshape(batch, op.n_chips, width), axis=2,
-                               dtype=np.int32)
-                rank = cs.reshape(-1)[gf] - 1
-                chip_start = (iv // width) * np.int32(width)
-                pos = np.where(covered, op.flat32[chip_start + rank], pos)
-    return flat_idx, rows, cols, pos
+
+@dataclass(frozen=True)
+class PlanWalk:
+    """A kill-free walk of one trial batch, kept layer by layer.
+
+    ``states[s]`` holds every valid input's tracked coordinate right
+    after chip layer ``s`` concentrates (chip-major slot space on fused
+    plans, flat positions otherwise); ``pos`` its final flat position.
+    A kill cannot reach back before its own layer, so a faulty walk of
+    the *same* batch whose first kill is at layer ``s`` resumes from
+    ``states[s]`` instead of re-walking layers ``0..s``
+    (:func:`run_plan_with_faults`).
+    """
+
+    key: tuple
+    valid: np.ndarray  # (B, n) bool, read-only
+    flat_idx: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    states: tuple
+    pos: np.ndarray
+
+    def matches(self, plan: StagePlan, valid: np.ndarray) -> bool:
+        """Whether this is a walk of ``plan`` over exactly ``valid``:
+        the same array, or an equal one — never a hash."""
+        return self.key == plan.key and (
+            valid is self.valid
+            or (valid.shape == self.valid.shape
+                and np.array_equal(valid, self.valid))
+        )
+
+    def positions(self) -> np.ndarray:
+        """Final flat position per input, ``(B, n)``; −1 where invalid."""
+        out = np.full(self.valid.shape, -1, dtype=np.int64)
+        out.reshape(-1)[self.flat_idx] = self.pos
+        return out
+
+
+def walk_plan(plan: StagePlan, valid: np.ndarray) -> PlanWalk:
+    """Walk ``valid`` through ``plan`` without kills, keeping the state
+    after every chip layer for faulty walks to resume from."""
+    if valid.flags.writeable:
+        valid = valid.copy()
+        valid.setflags(write=False)
+    states: list[np.ndarray] = []
+    flat_idx, rows, cols, pos = _run_plan_sparse_flat(plan, valid, record=states)
+    return PlanWalk(
+        key=plan.key, valid=valid, flat_idx=flat_idx, rows=rows, cols=cols,
+        states=tuple(states), pos=pos,
+    )
 
 
 def run_plan(plan: StagePlan, valid: np.ndarray) -> np.ndarray:
@@ -287,6 +382,8 @@ def run_plan_with_faults(
     plan: StagePlan,
     valid: np.ndarray,
     stage_kills,
+    *,
+    prefix: PlanWalk | None = None,
 ) -> np.ndarray:
     """Execute a stage plan with kill masks at chip-layer boundaries.
 
@@ -301,10 +398,13 @@ def run_plan_with_faults(
     invalid or its message was killed mid-flight.  Unlike
     :func:`run_plan`, invalid entries are already masked.
 
-    This is a dense walker (it carries the full position→input map
-    through every op) rather than the sparse rank-tracking fast path:
-    a killed message changes the ranks of every message behind it in
-    the same chip, which the fused lookup tables cannot express.
+    This is the sparse rank executor of :func:`run_plan_sparse`: a
+    chip still sends its j-th valid input to its j-th wire, and a
+    message killed after a layer simply stops being tracked, so the
+    next layer's running popcount ranks the survivors only.  With a
+    matching ``prefix`` (a :class:`PlanWalk` of this plan over exactly
+    ``valid``) the walk resumes after the first killed layer instead of
+    starting from the inputs.
     """
     batch, n = valid.shape
     kills = list(stage_kills)
@@ -314,42 +414,20 @@ def run_plan_with_faults(
             f"plan {plan.key} has {n_layers} chip layers but "
             f"{len(kills)} kill masks were supplied"
         )
-    # src[b, p] = the input whose message sits on flat position p (−1 idle).
-    src = np.where(valid, np.arange(n, dtype=np.int64)[None, :], np.int64(-1))
-    layer_i = 0
-    with obs.span(
-        "engine.run_plan",
-        plan=str(plan.key), batch=batch, valid=int(valid.sum()), faulty=True,
-    ):
-        for layer, op in enumerate(plan.ops):
-            if isinstance(op, FixedPermutation):
-                with obs.span("engine.stage", kind="perm", layer=layer):
-                    moved = np.empty_like(src)
-                    moved[:, op.perm] = src
-                    src = moved
-                continue
-            with obs.span(
-                "engine.stage",
-                kind="chip", layer=layer, chips=op.n_chips, width=op.chip_width,
-            ):
-                g = src[:, op.groups]  # (B, chips, width)
-                # Stable sort each chip's wires by occupancy: occupied
-                # wires (in wire order) move to the leading outputs,
-                # idle wires (already −1) trail — exactly the chip's
-                # concentration semantics.
-                order = np.argsort(g < 0, axis=2, kind="stable")
-                g = np.take_along_axis(g, order, axis=2)
-                out = src.copy()
-                out[:, op.groups.reshape(-1)] = g.reshape(batch, -1)
-                src = out
-            kmask = kills[layer_i]
-            layer_i += 1
-            if kmask is not None and kmask.any():
-                src[:, kmask] = -1
-    pos = np.full((batch, n), -1, dtype=np.int64)
-    rows, p = np.nonzero(src >= 0)
-    pos[rows, src[rows, p]] = p
-    return pos
+    resume = None
+    if prefix is not None and kills and prefix.matches(plan, valid):
+        first = next(
+            (s for s, kmask in enumerate(kills) if kmask is not None),
+            n_layers - 1,
+        )
+        resume = (
+            first,
+            (prefix.flat_idx, prefix.rows, prefix.cols, prefix.states[first]),
+        )
+    flat_idx, _, _, pos = _run_plan_sparse_flat(plan, valid, kills, resume=resume)
+    out = np.full((batch, n), -1, dtype=np.int64)
+    out.reshape(-1)[flat_idx] = pos
+    return out
 
 
 def run_comparator_plan(plan: ComparatorPlan, valid: np.ndarray) -> np.ndarray:

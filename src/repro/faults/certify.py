@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.engine.batch import nearsortedness_batch
+from repro.engine.batch import PlanWalk, nearsortedness_batch, walk_plan
 from repro.faults.injector import FaultySwitch, gate_occupancy
 from repro.faults.scenario import FaultScenario
 
@@ -53,6 +53,26 @@ def probe_patterns(
     patterns = np.zeros((trials, n), dtype=bool)
     patterns[np.arange(trials)[:, None], order[:, :k]] = True
     return patterns
+
+
+class ProbeBatch:
+    """One campaign's capacity probes, shared read-only by every step,
+    and the kill-free walk over them that faulty steps resume from."""
+
+    def __init__(self, switch, trials: int, seed: int):
+        self.patterns = probe_patterns(switch.n, switch.m, trials, seed)
+        self.patterns.setflags(write=False)
+        self._walk: PlanWalk | None = None
+
+    def prefix(self, plan, eff: np.ndarray) -> PlanWalk | None:
+        """The kill-free walk of ``plan`` over the probes, walked on
+        first use; None until a step sees the probes unchanged (a
+        stuck-at pin changes the valid bits the first layer sees)."""
+        if plan is None:
+            return None
+        if self._walk is None and np.array_equal(eff, self.patterns):
+            self._walk = walk_plan(plan, self.patterns)
+        return self._walk
 
 
 @dataclass
@@ -173,16 +193,26 @@ def measure_scenario(
     remap_outputs: bool = False,
     scalar_rows: int = 3,
     use_gates: bool = True,
+    probes: ProbeBatch | None = None,
 ) -> ScenarioReport:
-    """Measure one scenario's degradation and cross-path parity."""
+    """Measure one scenario's degradation and cross-path parity.
+
+    One faulty walk of the probes yields both the routing and the
+    occupancy.  ``probes`` shares a campaign's probe batch (built from
+    the same ``trials`` and ``seed``) and its kill-free walk."""
     fsw = FaultySwitch(switch, scenario.structural(), remap_outputs=remap_outputs)
-    patterns = probe_patterns(switch.n, switch.m, trials, seed)
+    if probes is None:
+        patterns = probe_patterns(switch.n, switch.m, trials, seed)
+    else:
+        patterns = probes.patterns
     with obs.span(
         "faults.measure",
         scenario=scenario.name, faults=scenario.fault_count, trials=trials,
     ):
-        batch = fsw.setup_batch(patterns)
-        routing = batch.input_to_output
+        eff = fsw.effective_valid(patterns)
+        prefix = None if probes is None else probes.prefix(fsw._plan, eff)
+        pos = fsw._pos_batch(eff, prefix)
+        routing = fsw._routing_from_pos(pos)
         real_routed = ((routing >= 0) & patterns).sum(axis=1)
         denom = min(switch.m, switch.n)
         failures: list[str] = []
@@ -202,8 +232,9 @@ def measure_scenario(
 
         # ε of the surviving occupancy (plan-based designs only).
         worst_eps: int | None = None
+        gates_checked = False
         if fsw._plan is not None:
-            occupancy = fsw.occupancy_batch(patterns)
+            occupancy = fsw.occupancy_from_pos(pos)
             worst_eps = int(nearsortedness_batch(occupancy).max(initial=0))
             if use_gates:
                 gates = gate_occupancy(fsw, patterns)
@@ -214,10 +245,6 @@ def measure_scenario(
                         f"gate/functional occupancy divergence in trials "
                         f"{mism.tolist()[:8]}"
                     )
-            else:
-                gates_checked = False
-        else:
-            gates_checked = False
         obs.counter("faults.scenarios").inc()
     min_routed = int(real_routed.min()) if trials else 0
     return ScenarioReport(
@@ -251,6 +278,7 @@ def certify_chain(
     """Measure a nested scenario chain (healthy baseline prepended) and
     render the monotone-α verdict."""
     healthy = FaultScenario(name="healthy", faults=(), seed=seed)
+    probes = ProbeBatch(switch, trials, seed)
     steps = [
         measure_scenario(
             switch,
@@ -260,6 +288,7 @@ def certify_chain(
             remap_outputs=remap_outputs,
             scalar_rows=scalar_rows,
             use_gates=use_gates,
+            probes=probes,
         )
         for scenario in [healthy, *chain]
     ]
@@ -298,6 +327,7 @@ def certify_scenarios(
 ) -> DegradationCertificate:
     """Measure independent scenarios (no monotone verdict — interior
     kills legitimately re-rank survivors, see ``docs/robustness.md``)."""
+    probes = ProbeBatch(switch, trials, seed)
     steps = [
         measure_scenario(
             switch,
@@ -307,6 +337,7 @@ def certify_scenarios(
             remap_outputs=remap_outputs,
             scalar_rows=scalar_rows,
             use_gates=use_gates,
+            probes=probes,
         )
         for scenario in scenarios
     ]

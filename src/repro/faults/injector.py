@@ -10,7 +10,8 @@ its routing:
   chip-layer machinery (:func:`repro.switches.wiring.apply_chip_layer`),
   zeroing killed wires between stages;
 * **batched** — :func:`repro.engine.batch.run_plan_with_faults` applies
-  the same kill masks inside the plan executor;
+  the same kill masks inside the sparse rank executor, dropping killed
+  messages from the tracked set after their layer;
 * **gate level** — :func:`netlist_forces` lowers interior kills to
   stuck-at-0 forces on the named chip-output wires
   (``s{stage}c{chip}yv{wire}``) of the design's elaborated netlist.
@@ -36,7 +37,12 @@ import numpy as np
 
 from repro import obs
 from repro._util.rng import default_rng
-from repro.engine.batch import BatchRouting, run_plan, run_plan_with_faults
+from repro.engine.batch import (
+    BatchRouting,
+    PlanWalk,
+    run_plan,
+    run_plan_with_faults,
+)
 from repro.engine.plan import FixedPermutation
 from repro.switches.base import ConcentratorSwitch, Routing
 from repro.switches.wiring import apply_chip_layer
@@ -87,11 +93,12 @@ class FaultySwitch(ConcentratorSwitch):
 
     def _build_out_index(self) -> np.ndarray:
         """``out[p]`` = logical output for final position ``p`` (−1 =
-        not an output / dead pad)."""
+        not an output / dead pad).  One extra trailing −1 makes
+        ``out[-1]`` map a dropped message (position −1) to −1."""
         space = self._pos_space
         dead = np.zeros(space, dtype=bool)
         dead[: self.m] = self.compiled.dead_outputs[: space]
-        out = np.full(space, -1, dtype=np.int64)
+        out = np.full(space + 1, -1, dtype=np.int64)
         if self.remap_outputs:
             live = np.flatnonzero(~dead)
             window = live[: self.m]
@@ -124,15 +131,21 @@ class FaultySwitch(ConcentratorSwitch):
 
     # -- position tracking ----------------------------------------------
 
-    def _pos_batch(self, eff: np.ndarray) -> np.ndarray:
+    def _pos_batch(
+        self, eff: np.ndarray, prefix: PlanWalk | None = None
+    ) -> np.ndarray:
         """Final position of every input's message, ``(B, n)``; −1 for
         invalid inputs and messages killed mid-flight.  For non-plan
-        designs "position" is the output index the inner switch chose."""
+        designs "position" is the output index the inner switch chose.
+        ``prefix`` is a kill-free walk to resume from; it is used only
+        when it walked this plan over exactly ``eff``."""
         if self._plan is not None:
             if self.compiled.has_interior:
                 return run_plan_with_faults(
-                    self._plan, eff, self.compiled.stage_kills
+                    self._plan, eff, self.compiled.stage_kills, prefix=prefix
                 )
+            if prefix is not None and prefix.matches(self._plan, eff):
+                return prefix.positions()
             pos = run_plan(self._plan, eff)
             return np.where(eff, pos, -1)
         base = self.inner.setup_batch(eff)
@@ -178,19 +191,20 @@ class FaultySwitch(ConcentratorSwitch):
         """``(B, pos_space)`` bool: which final wires carry a surviving
         message — the quantity the ε measurements and the gate-level
         setup plane both observe."""
-        pos = self.final_positions_batch(valid)
-        out = np.zeros((pos.shape[0], self._pos_space), dtype=bool)
-        rows, cols = np.nonzero(pos >= 0)
-        out[rows, pos[rows, cols]] = True
-        return out
+        return self.occupancy_from_pos(self.final_positions_batch(valid))
+
+    def occupancy_from_pos(self, pos: np.ndarray) -> np.ndarray:
+        """:meth:`occupancy_batch` from already-walked final positions."""
+        space = self._pos_space
+        # Column `space` catches the −1 entries and is sliced off.
+        out = np.zeros((pos.shape[0], space + 1), dtype=bool)
+        np.put_along_axis(out, np.where(pos >= 0, pos, space), True, axis=1)
+        return out[:, :space]
 
     # -- routing ---------------------------------------------------------
 
     def _routing_from_pos(self, pos: np.ndarray) -> np.ndarray:
-        routing = np.full(pos.shape, -1, dtype=np.int64)
-        ok = pos >= 0
-        routing[ok] = self._out[pos[ok]]
-        return routing
+        return self._out[pos]
 
     def setup(self, valid: np.ndarray) -> Routing:
         valid1 = self._check_valid(valid)

@@ -30,6 +30,8 @@ Class presets
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import FaultInjectionError
@@ -76,6 +78,47 @@ def _resolve_classes(classes) -> tuple[frozenset, bool]:
     return frozenset(classes), False
 
 
+def _site_table(
+    switch, model: ReliabilityModel | None, classes
+) -> list[tuple[int, float, object]]:
+    """The fault sites of ``switch`` as segments ``(count, weight,
+    fault_of)`` in :func:`fault_sites` order; ``fault_of(i)`` builds
+    the segment's ``i``-th fault, so a draw builds only what it picks."""
+    model = model if model is not None else ReliabilityModel()
+    kinds, boundary_only = _resolve_classes(classes)
+    plan = plan_of(switch)
+    layers = chip_layers(plan) if plan is not None else []
+    last = len(layers) - 1
+    segments: list[tuple[int, float, object]] = []
+    for stage, op in enumerate(layers):
+        if boundary_only and stage != last:
+            continue
+        chip = HyperconcentratorChip(op.chip_width)
+        if "dead_chip" in kinds:
+            segments.append((
+                op.n_chips,
+                model.chip_rate(chip.area, chip.pins),
+                partial(DeadChipFault, stage),
+            ))
+        if "severed_wire" in kinds:
+            segments.append((
+                op.flat32.size,
+                model.pin_rate,
+                lambda i, s=stage, f=op.flat32: SeveredWireFault(s, int(f[i])),
+            ))
+    if "dead_output" in kinds:
+        segments.append((switch.m, model.pin_rate, DeadOutputFault))
+    if "stuck0" in kinds:
+        segments.append((switch.n, model.pin_rate, lambda i: StuckAtFault(i, 0)))
+    if "stuck1" in kinds:
+        segments.append((switch.n, model.pin_rate, lambda i: StuckAtFault(i, 1)))
+    if not sum(count for count, _, _ in segments):
+        raise FaultInjectionError(
+            f"no fault sites on {type(switch).__name__} for classes {classes!r}"
+        )
+    return segments
+
+
 def fault_sites(
     switch, model: ReliabilityModel | None = None, *, classes="structural"
 ) -> list[tuple[float, object]]:
@@ -85,56 +128,33 @@ def fault_sites(
     model (chip sites by :meth:`ReliabilityModel.chip_rate`, wire/pad
     sites by ``pin_rate``).
     """
-    model = model if model is not None else ReliabilityModel()
-    kinds, boundary_only = _resolve_classes(classes)
-    plan = plan_of(switch)
-    layers = chip_layers(plan) if plan is not None else []
-    last = len(layers) - 1
-    sites: list[tuple[float, object]] = []
-    for stage, op in enumerate(layers):
-        if boundary_only and stage != last:
-            continue
-        chip = HyperconcentratorChip(op.chip_width)
-        chip_w = model.chip_rate(chip.area, chip.pins)
-        if "dead_chip" in kinds:
-            sites.extend(
-                (chip_w, DeadChipFault(stage, c)) for c in range(op.n_chips)
-            )
-        if "severed_wire" in kinds:
-            sites.extend(
-                (model.pin_rate, SeveredWireFault(stage, int(p)))
-                for p in op.flat32
-            )
-    if "dead_output" in kinds:
-        sites.extend(
-            (model.pin_rate, DeadOutputFault(j)) for j in range(switch.m)
-        )
-    if "stuck0" in kinds:
-        sites.extend(
-            (model.pin_rate, StuckAtFault(i, 0)) for i in range(switch.n)
-        )
-    if "stuck1" in kinds:
-        sites.extend(
-            (model.pin_rate, StuckAtFault(i, 1)) for i in range(switch.n)
-        )
-    if not sites:
-        raise FaultInjectionError(
-            f"no fault sites on {type(switch).__name__} for classes {classes!r}"
-        )
-    return sites
+    return [
+        (weight, fault_of(i))
+        for count, weight, fault_of in _site_table(switch, model, classes)
+        for i in range(count)
+    ]
 
 
 def _weighted_draws(
-    sites: list[tuple[float, object]], count: int, rng: np.random.Generator
+    segments: list[tuple[int, float, object]],
+    count: int,
+    rng: np.random.Generator,
 ) -> list[object]:
     """``count`` distinct sites, each drawn with probability proportional
     to its failure rate (without replacement)."""
-    pool = list(sites)
+    weights = np.concatenate(
+        [np.full(n, w, dtype=float) for n, w, _ in segments]
+    )
+    ids = np.arange(weights.size)
+    starts = np.cumsum([0] + [n for n, _, _ in segments])
     picked: list[object] = []
-    for _ in range(min(count, len(pool))):
-        weights = np.array([w for w, _ in pool], dtype=float)
-        index = int(rng.choice(len(pool), p=weights / weights.sum()))
-        picked.append(pool.pop(index)[1])
+    for _ in range(min(count, weights.size)):
+        index = int(rng.choice(weights.size, p=weights / weights.sum()))
+        site = int(ids[index])
+        seg = int(np.searchsorted(starts, site, side="right")) - 1
+        picked.append(segments[seg][2](site - int(starts[seg])))
+        weights = np.delete(weights, index)
+        ids = np.delete(ids, index)
     return picked
 
 
@@ -149,7 +169,7 @@ def sample_scenario(
     seed: int = 0,
 ) -> FaultScenario:
     """One scenario of ``faults`` distinct reliability-weighted faults."""
-    sites = fault_sites(switch, model, classes=classes)
+    sites = _site_table(switch, model, classes)
     return FaultScenario(
         name=name, faults=tuple(_weighted_draws(sites, faults, rng)), seed=seed
     )
@@ -168,7 +188,7 @@ def sample_chain(
     """A nested scenario chain: ``length`` scenarios where scenario
     ``i`` holds the first ``i+1`` of one draw of distinct faults — the
     shape the degradation sweeps measure α against fault count on."""
-    sites = fault_sites(switch, model, classes=classes)
+    sites = _site_table(switch, model, classes)
     draws = _weighted_draws(sites, length, rng)
     return [
         FaultScenario(

@@ -205,6 +205,13 @@ class Registry:
         }
 
 
+class NullTracer:
+    """The null registry's tracer: no trace context, no active span."""
+
+    context = None
+    active_span_id = None
+
+
 class NullRegistry:
     """Do-nothing stand-in installed by default.
 
@@ -213,6 +220,7 @@ class NullRegistry:
     """
 
     enabled = False
+    tracer = NullTracer()
 
     def counter(self, name: str, /, **labels: object) -> NullCounter:
         return NULL_COUNTER

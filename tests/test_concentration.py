@@ -70,6 +70,20 @@ class TestValidateRoutingDisjoint:
         with pytest.raises(ConcentrationError):
             validate_routing_disjoint(np.array([5]), 3)
 
+    def test_paper_scale_reuse_and_range(self):
+        n = 4096
+        routing = np.random.default_rng(0).permutation(n)
+        routing[::3] = -1
+        validate_routing_disjoint(routing, n)
+        reused = routing.copy()
+        reused[1] = reused[2]
+        with pytest.raises(ConcentrationError, match="not disjoint"):
+            validate_routing_disjoint(reused, n)
+        out_of_range = routing.copy()
+        out_of_range[4] = n
+        with pytest.raises(ConcentrationError, match=f"targets output {n} "):
+            validate_routing_disjoint(out_of_range, n)
+
 
 class TestValidatePartial:
     def setup_method(self):

@@ -210,3 +210,31 @@ class TestInlinePath:
         with pytest.raises(SystemExit) as excinfo:
             main(["compare", "--backend", "thread"])
         assert excinfo.value.code == 2
+
+
+def _telemetry_state(job: dict) -> tuple[bool, object]:
+    return obs.enabled(), obs.get_registry().tracer.context
+
+
+class TestPoolPathTelemetry:
+    def test_disabled_parent_runs_workers_with_telemetry_off(self):
+        from repro.engine.backends import fanout
+
+        assert not obs.enabled()
+        jobs = [{} for _ in range(3)]
+        states = fanout(_telemetry_state, jobs, workers=2, label="tele")
+        assert states == [(False, None)] * 3
+
+    def test_enabled_parent_still_collects(self):
+        from repro.engine.backends import fanout
+
+        with obs.collecting() as registry:
+            states = fanout(
+                _telemetry_state, [{} for _ in range(2)], workers=2, label="tele"
+            )
+        assert [enabled for enabled, _ in states] == [True, True]
+        counters = registry.snapshot()["counters"]
+        assert "obs.workers_merged{worker=tele-0}" in counters
+
+    def test_null_registry_tracer_has_no_context(self):
+        assert obs.NullRegistry().tracer.context is None

@@ -5,7 +5,9 @@
 :class:`~repro.network.simulate.SwitchSimulation` over every traffic
 generator × congestion policy × payload width × fault setting, and
 ``tests/golden/faults_sweep_n4096_seed0.json`` pins the paper-scale
-``repro faults sweep --seed 0 --format json`` document byte for byte.
+``repro faults sweep --seed 0 --format json`` document byte for byte,
+and ``tests/golden/faults_sweep_smoke_seed0.json`` the ``--smoke`` one
+(small geometries, gate-netlist forces at n=16).
 Any drift in traffic draws, backlog placement, flaky-pin flips or the
 order unrouted messages reach a policy trips these tests.  Regenerate
 (only if the change is intentional) with::
@@ -13,6 +15,8 @@ order unrouted messages reach a policy trips these tests.  Regenerate
     PYTHONPATH=src python -m tests.test_simulate_golden
     PYTHONPATH=src python -m repro faults sweep --seed 0 --format json \\
         > tests/golden/faults_sweep_n4096_seed0.json
+    PYTHONPATH=src python -m repro faults sweep --smoke --seed 0 \\
+        --format json > tests/golden/faults_sweep_smoke_seed0.json
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.switches.revsort_switch import RevsortSwitch
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROUNDS_GOLDEN = GOLDEN_DIR / "simulate_rounds.json"
 SWEEP_GOLDEN = GOLDEN_DIR / "faults_sweep_n4096_seed0.json"
+SMOKE_GOLDEN = GOLDEN_DIR / "faults_sweep_smoke_seed0.json"
 
 N, M, ROUNDS = 64, 48, 30
 FIELDS = [f.name for f in dataclasses.fields(RoundResult)]
@@ -131,6 +136,12 @@ def test_round_results_match_golden(case, rounds_golden):
 def test_faults_sweep_matches_golden(capsys):
     assert main(["faults", "sweep", "--seed", "0", "--format", "json"]) == 0
     assert capsys.readouterr().out == SWEEP_GOLDEN.read_text()
+
+
+def test_smoke_faults_sweep_matches_golden(capsys):
+    argv = ["faults", "sweep", "--smoke", "--seed", "0", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == SMOKE_GOLDEN.read_text()
 
 
 if __name__ == "__main__":
