@@ -66,7 +66,12 @@ from repro._util.rng import default_rng
 from repro.analysis.tables import render_table
 from repro.core.concentration import validate_partial_concentration
 from repro.core.nearsort import nearsortedness
-from repro.errors import ConcentrationError, ExecutionError, ReproError
+from repro.errors import (
+    ConcentrationError,
+    ConfigurationError,
+    ExecutionError,
+    ReproError,
+)
 from repro.hardware.costs import columnsort_measures, revsort_measures, table1
 
 
@@ -457,6 +462,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from repro.engine import resolve_workers
+
+    if args.trials < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {args.trials}")
+    workers = resolve_workers(args.workers)
     switch = _build_switch(args)
     rng = default_rng(args.seed)
     spec = switch.spec
@@ -464,15 +474,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tracks_eps = hasattr(switch, "final_positions")
     worst_eps: int | None = 0 if tracks_eps else None
     if mode == "process":
-        # The sharded multiprocess backend: trials are generated per
+        # The sharded trial stream: trials are generated per
         # SeedSequence-keyed shard, so the measured ε/α are identical
         # for any --workers count (but differ from the sequential
         # --batch draw order).
-        from repro.engine import StreamSpec, get_backend, resolve_workers
+        from repro.engine import StreamSpec, run_stream
 
-        backend = get_backend("process", workers=resolve_workers(args.workers))
-        summary = backend.run_stream(
-            switch, StreamSpec(trials=args.trials, seed=args.seed)
+        summary = run_stream(
+            switch, StreamSpec(trials=args.trials, seed=args.seed),
+            workers=workers,
         )
         worst_eps = summary.worst_epsilon
         if summary.violations:
@@ -1613,16 +1623,16 @@ def build_parser() -> argparse.ArgumentParser:
                 "--backend",
                 choices=["scalar", "batch", "process"],
                 default=None,
-                help="engine backend (default scalar; process = sharded "
-                "multiprocess engine, see --workers)",
+                help="execution path (default scalar; process = sharded "
+                "trial stream over a worker pool, see --workers)",
             )
             p.add_argument(
                 "--workers",
                 type=int,
                 default=1,
                 help="worker processes for --backend process "
-                "(0 = one per core); results are identical for any "
-                "worker count",
+                "(0 = one per core, negative is an error in every "
+                "mode); results are identical for any worker count",
             )
             p.add_argument(
                 "--format", choices=["table", "json"], default="table"

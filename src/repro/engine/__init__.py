@@ -18,7 +18,11 @@ array-at-once engine:
 
 The scalar paths stay untouched as the correctness oracle; the parity
 tests in ``tests/test_engine.py`` pin batch == scalar for every design
-in the registry.  See ``docs/performance.md``.
+in the registry.  Parallel work goes through
+:mod:`repro.engine.backends`: one supervised ``fanout`` over a
+persistent worker pool, and ``run_stream``, the sharded random-trial
+stream behind ``repro verify --backend process``.  See
+``docs/performance.md``.
 """
 
 from repro.engine.batch import (
@@ -34,13 +38,10 @@ from repro.engine.batch import (
     validate_batch_partial_concentration,
 )
 from repro.engine.backends import (
-    EngineBackend,
     StreamSpec,
     StreamSummary,
-    backend_names,
-    get_backend,
-    register_backend,
     resolve_workers,
+    run_stream,
 )
 from repro.engine.plan import (
     PLAN_CACHE,
@@ -59,28 +60,25 @@ __all__ = [
     "BatchRouting",
     "ChipLayer",
     "ComparatorPlan",
-    "EngineBackend",
     "FixedPermutation",
     "PLAN_CACHE",
     "PlanCache",
     "StagePlan",
     "StreamSpec",
     "StreamSummary",
-    "backend_names",
     "chip_layer",
     "comparator_stages",
     "concentrate_plan_batch",
     "fixed_permutation",
-    "get_backend",
     "hyperconcentrate_batch",
     "nearsortedness_batch",
     "plan_cache",
     "prefix_ranks_batch",
-    "register_backend",
     "resolve_workers",
     "run_comparator_plan",
     "run_plan",
     "run_plan_sparse",
     "run_plan_with_faults",
+    "run_stream",
     "validate_batch_partial_concentration",
 ]

@@ -1,42 +1,22 @@
-"""repro.engine.backends — execution paths behind one protocol.
+"""repro.engine.backends — parallel execution.
 
-``get_backend("scalar" | "batch" | "packed" | "netlist" | "process")``
-returns an :class:`~repro.engine.backends.base.EngineBackend`; see
-``docs/performance.md`` ("Scaling") for when each wins.  Every parallel
-path in the package fans out through :func:`fanout`.
+Every parallel path in the package fans out through :func:`fanout`:
+on the persistent worker pool under the self-healing
+:class:`ShardSupervisor` at ``workers > 1``, in-process otherwise.
+:func:`run_stream` is the sharded random-trial stream behind ``repro
+verify --backend process``; see ``docs/performance.md`` ("Scaling").
 """
 
-from repro.engine.backends.base import (
-    CAP_OCCUPANCY,
-    CAP_PARALLEL,
-    CAP_ROUTING,
-    CAP_STREAM,
-    CAP_SUPERVISED,
+from repro.engine.backends.fanout import fanout, resolve_workers
+from repro.engine.backends.pool import shared_pool, shutdown_pools
+from repro.engine.backends.stream import (
     DEFAULT_SHARD_TRIALS,
-    EngineBackend,
     StreamSpec,
     StreamSummary,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_workers,
+    run_stream,
     shard_valid,
     summarize_batch,
 )
-from repro.engine.backends.fanout import fanout
-from repro.engine.backends.local import (
-    BatchBackend,
-    NetlistBackend,
-    PackedGateBackend,
-    ScalarBackend,
-)
-from repro.engine.backends.pool import (
-    shared_pool,
-    shm_segments,
-    shutdown_pools,
-    sweep_orphan_shm,
-)
-from repro.engine.backends.sharded import ShardedBackend
 from repro.engine.backends.supervisor import (
     ShardSupervisor,
     SupervisorPolicy,
@@ -46,34 +26,19 @@ from repro.engine.backends.supervisor import (
 )
 
 __all__ = [
-    "CAP_OCCUPANCY",
-    "CAP_PARALLEL",
-    "CAP_ROUTING",
-    "CAP_STREAM",
-    "CAP_SUPERVISED",
     "DEFAULT_SHARD_TRIALS",
-    "BatchBackend",
-    "EngineBackend",
-    "NetlistBackend",
-    "PackedGateBackend",
-    "ScalarBackend",
     "ShardSupervisor",
-    "ShardedBackend",
     "StreamSpec",
     "StreamSummary",
     "SupervisorPolicy",
     "add_event_sink",
-    "backend_names",
     "chaos_from_env",
     "fanout",
-    "get_backend",
-    "register_backend",
     "remove_event_sink",
     "resolve_workers",
+    "run_stream",
     "shard_valid",
     "shared_pool",
-    "shm_segments",
     "shutdown_pools",
     "summarize_batch",
-    "sweep_orphan_shm",
 ]

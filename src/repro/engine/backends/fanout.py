@@ -1,7 +1,7 @@
 """One supervised fan-out: run a function over independent jobs.
 
 Every parallel path in the package goes through :func:`fanout` — the
-sharded engine backend (``shard-N``), chunk certification
+sharded verify trial stream (``shard-N``), chunk certification
 (``certify-<chunk>``), parameter sweeps (``sweep-N``), the
 partial-vs-perfect comparison (``perfect-k8``/``partial-k8``) and the
 flows head-to-head study (``flows-<fabric>``).  It has two paths:
@@ -29,9 +29,24 @@ byte-identical for any worker count and any schedule of retries.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterable
 
 from repro import obs
+from repro.errors import ConfigurationError
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a ``--workers`` value: ``0`` (or None) means "one per
+    core", negatives are configuration errors (CLI exit code 2)."""
+    if workers is None:
+        workers = 0
+    workers = int(workers)
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers}")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return workers
 
 
 def fanout(
@@ -108,4 +123,4 @@ def fanout(
         return results
 
 
-__all__ = ["fanout"]
+__all__ = ["fanout", "resolve_workers"]

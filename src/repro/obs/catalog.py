@@ -41,11 +41,9 @@ CATALOG: tuple[MetricInfo, ...] = (
     MetricInfo("engine.plan_cache.restored", "counter", ("kind",),
                "plans installed from a shipped PlanCache.snapshot() "
                "payload (worker warm-start), by plan kind"),
-    MetricInfo("engine.shards", "counter", ("backend",),
-               "trial shards dispatched by an engine backend's "
-               "run_stream/run_trials fan-out, by backend name; also the "
-               "span wrapping every fan-out round (meta: backend = the "
-               "round's label, shards) — the causal parent shipped to "
+    MetricInfo("engine.shards", "span", (),
+               "one fan-out round (meta: backend = the round's label, "
+               "shards = its job count) — the causal parent shipped to "
                "every worker"),
     MetricInfo("engine.shard", "span", (),
                "one fan-out job executing, in a worker or in-process "

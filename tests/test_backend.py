@@ -1,6 +1,5 @@
-"""Engine backend protocol: registry, parity across execution paths,
-plan-cache warm start, and the worker-count determinism guarantees of
-the sharded multiprocess backend."""
+"""The sharded trial stream's worker-count determinism, plan-cache warm
+start, the ``--workers`` option, and cross-process certify parity."""
 
 from __future__ import annotations
 
@@ -15,19 +14,11 @@ from repro.cli import main
 from repro.engine import (
     StreamSpec,
     StreamSummary,
-    backend_names,
-    get_backend,
     plan_cache,
     resolve_workers,
+    run_stream,
 )
-from repro.engine.backends import (
-    CAP_OCCUPANCY,
-    CAP_PARALLEL,
-    CAP_ROUTING,
-    CAP_STREAM,
-    shard_valid,
-    summarize_batch,
-)
+from repro.engine.backends import shard_valid, summarize_batch
 from repro.errors import ConfigurationError
 from repro.switches.columnsort_switch import ColumnsortSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -41,74 +32,14 @@ QUICK = CertifyOptions(
 )
 
 
-def _mixed_valid(rng, trials: int, n: int) -> np.ndarray:
-    return rng.random((trials, n)) < rng.random((trials, 1))
-
-
-class TestRegistry:
-    def test_all_execution_paths_registered(self):
-        names = backend_names()
-        for name in ("scalar", "batch", "packed", "netlist", "process"):
-            assert name in names
-
-    def test_unknown_backend_is_config_error(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("gpu")
-
-    def test_capabilities(self):
-        assert CAP_ROUTING in get_backend("batch").capabilities()
-        assert CAP_STREAM in get_backend("batch").capabilities()
-        assert CAP_PARALLEL in get_backend("process").capabilities()
-        assert CAP_PARALLEL not in get_backend("batch").capabilities()
-        packed = get_backend("packed").capabilities()
-        assert CAP_OCCUPANCY in packed
-        assert CAP_ROUTING not in packed
-
-    def test_occupancy_only_backend_refuses_routing(self):
-        sw = Hyperconcentrator(8)
-        with pytest.raises(ConfigurationError):
-            get_backend("packed").run_trials(sw, np.zeros((1, 8), bool))
-
-    def test_plan_key_matches_compiled_plan(self):
-        sw = ColumnsortSwitch(8, 2, 12)
-        key = get_backend("batch").plan_key(sw)
-        assert key is not None
-        assert key == get_backend("process").plan_key(sw)
-        assert get_backend("batch").plan_key(object()) is None
-
-
-class TestParity:
-    def test_routing_parity_scalar_batch_process(self, rng):
-        sw = ColumnsortSwitch(8, 2, 12)
-        valid = _mixed_valid(rng, 40, sw.n)
-        ref = get_backend("scalar").run_trials(sw, valid).input_to_output
-        batch = get_backend("batch").run_trials(sw, valid).input_to_output
-        proc = (
-            get_backend("process", workers=2, shard_trials=8)
-            .run_trials(sw, valid)
-            .input_to_output
-        )
-        assert np.array_equal(ref, batch)
-        assert np.array_equal(ref, proc)
-
-    def test_occupancy_parity_gate_backends(self, rng):
-        sw = Hyperconcentrator(8)
-        valid = _mixed_valid(rng, 24, sw.n)
-        ref = get_backend("batch").run_occupancy(sw, valid)
-        assert ref is not None
-        for name in ("packed", "netlist"):
-            occ = get_backend(name).run_occupancy(sw, valid)
-            assert np.array_equal(ref, occ), name
-
-
 class TestStreamDeterminism:
     def test_summary_invariant_across_worker_counts(self):
         sw = RevsortSwitch(16, 12)
         spec = StreamSpec(trials=64, seed=9, shard_trials=16)
-        ref = get_backend("batch").run_stream(sw, spec)
+        ref = run_stream(sw, spec)
         assert ref.trials == 64 and ref.shards == 4
-        for workers in (1, 2, 4):
-            got = get_backend("process", workers=workers).run_stream(sw, spec)
+        for workers in (0, 1, 2, 4):
+            got = run_stream(sw, spec, workers=resolve_workers(workers))
             assert got == ref, f"workers={workers}"
 
     @settings(max_examples=20, deadline=None)
@@ -119,9 +50,9 @@ class TestStreamDeterminism:
     )
     def test_shard_boundaries_partition_and_fold(self, trials, shard_trials, seed):
         """Any shard grid partitions [0, trials) exactly, and folding
-        the per-shard summaries in any bracketing equals the backend's
-        own stream result — the property that makes the ε/α results
-        independent of how shards land on workers."""
+        the per-shard summaries in any bracketing equals the
+        :func:`run_stream` result — the property that makes the ε/α
+        results independent of how shards land on workers."""
         sw = Hyperconcentrator(8)
         spec = StreamSpec(trials=trials, seed=seed, shard_trials=shard_trials)
         shards = spec.shards()
@@ -130,7 +61,7 @@ class TestStreamDeterminism:
         children = np.random.SeedSequence(seed).spawn(max(1, len(shards)))
         pieces = []
         for index, (start, stop) in enumerate(shards):
-            valid = shard_valid(sw.n, stop - start, children[index], spec.load)
+            valid = shard_valid(sw.n, stop - start, children[index])
             batch = sw.setup_batch(valid)
             pieces.append(summarize_batch(sw, valid, batch.input_to_output))
         left = StreamSummary()
@@ -140,8 +71,7 @@ class TestStreamDeterminism:
         for piece in reversed(pieces):
             right = piece.fold(right)
         assert left == right  # fold order cannot matter
-        assert left == get_backend("process", workers=1).run_stream(sw, spec)
-        assert left == get_backend("batch").run_stream(sw, spec)
+        assert left == run_stream(sw, spec)
 
 
 class TestPlanCacheSnapshot:
@@ -209,6 +139,20 @@ class TestWorkersOption:
     def test_negative_workers_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode", [[], ["--backend", "batch"], ["--backend", "process"]]
+    )
+    @pytest.mark.parametrize(
+        "flag,value", [("--trials", "-5"), ("--workers", "-1")]
+    )
+    def test_verify_rejects_negative_counts_in_every_mode(
+        self, mode, flag, value, capsys
+    ):
+        argv = ["verify", "revsort", "--n", "16", "--m", "12", flag, value]
+        assert main(argv + mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:] in err
 
 
 class TestCrossProcessCertify:

@@ -1,7 +1,7 @@
 """Fan-out parity: every parallel site gives the same bytes for any
 worker count.
 
-The five places that fan work out — ``ShardedBackend``, chunk
+The five places that fan work out — the verify trial stream, chunk
 certification, ``analysis.sweep``, ``compare_partial_vs_perfect`` and
 the flows ``head_to_head`` study — all go through
 :func:`repro.engine.backends.fanout.fanout`.  Work items carry their
@@ -20,7 +20,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.sweep import sweep
-from repro.engine import StreamSpec, get_backend, resolve_workers
+from repro.engine import StreamSpec, resolve_workers, run_stream
 from repro.engine.backends.pool import shared_pool
 from repro.engine.backends.supervisor import ShardSupervisor
 from repro.errors import ConfigurationError
@@ -46,9 +46,11 @@ def _measure(value, rng):
 
 
 def _run_shard(workers: int) -> bytes:
-    backend = get_backend("process", workers=workers)
-    spec = StreamSpec(trials=4000, seed=5, load="mixed", shard_trials=1000)
-    return repr(backend.run_stream(RevsortSwitch(16, 12), spec)).encode()
+    spec = StreamSpec(trials=4000, seed=5, shard_trials=1000)
+    summary = run_stream(
+        RevsortSwitch(16, 12), spec, workers=resolve_workers(workers)
+    )
+    return repr(summary).encode()
 
 
 def _run_certify(workers: int) -> bytes:
@@ -124,8 +126,9 @@ class TestFanoutParity:
         with obs.collecting() as registry:
             got = runner(workers)
         assert got == _reference(site)
-        # The sharded backend resolves 0 to one worker per core; every
-        # other site runs workers=0 in-process.
+        # The stream site resolves 0 to one worker per core, as
+        # `repro verify` does; every other site runs workers=0
+        # in-process.
         effective = resolve_workers(workers) if site == "shard" else workers
         merged = _merged_labels(registry.snapshot())
         assert merged == (set(labels) if effective > 1 else set())

@@ -1,6 +1,6 @@
 """Self-healing sharded execution: the shard supervisor's retry /
-respawn / deadline / degradation loop, the pool's respawn and
-shared-memory hygiene, certify checkpoint/resume, and the supervision
+respawn / deadline / degradation loop, the pool's respawn, certify
+checkpoint/resume, and the supervision
 observability surface (journal frames, SLO defaults, flight-recorder
 fallback, analyze section).
 
@@ -18,16 +18,9 @@ import os
 import pytest
 
 from repro import obs
-from repro.engine import StreamSpec, get_backend
-from repro.engine.backends import CAP_SUPERVISED
-from repro.engine.backends.pool import (
-    WorkerPool,
-    _LIVE_SHM,
-    create_shm,
-    shm_segments,
-    sweep_orphan_shm,
-)
-from repro.engine.backends.supervisor import chaos_from_env
+from repro.engine import StreamSpec, run_stream
+from repro.engine.backends.pool import WorkerPool
+from repro.engine.backends.supervisor import SupervisorPolicy, chaos_from_env
 from repro.errors import ConfigurationError, ExecutionError, exit_code_for
 from repro.switches.revsort_switch import RevsortSwitch
 from repro.verify import CertifyOptions, certify_design
@@ -38,7 +31,7 @@ QUICK = CertifyOptions(
     metamorphic_rows=8,
 )
 
-SPEC = StreamSpec(trials=24000, seed=42, load="mixed", shard_trials=4000)
+SPEC = StreamSpec(trials=24000, seed=42, shard_trials=4000)
 
 
 def _switch() -> RevsortSwitch:
@@ -46,7 +39,7 @@ def _switch() -> RevsortSwitch:
 
 
 def _stream_ref():
-    return get_backend("batch").run_stream(_switch(), SPEC)
+    return run_stream(_switch(), SPEC)
 
 
 def _chaos_token(tmp_path) -> str:
@@ -89,55 +82,6 @@ class TestPoolRespawn:
         finally:
             pool.shutdown()
 
-    def test_supervised_capability_advertised(self):
-        assert CAP_SUPERVISED in get_backend("process").capabilities()
-
-
-class TestShmHygiene:
-    def test_segments_released_on_clean_exit(self):
-        with shm_segments(64, 128) as (a, b):
-            names = {a.name, b.name}
-            assert names <= _LIVE_SHM
-        assert not (names & _LIVE_SHM)
-
-    def test_segments_released_when_body_raises(self):
-        """Satellite fix: a shard job raising mid-dispatch used to leak
-        both segments."""
-        with pytest.raises(RuntimeError):
-            with shm_segments(64, 128) as (a, b):
-                names = {a.name, b.name}
-                raise RuntimeError("shard job died")
-        assert not (names & _LIVE_SHM)
-
-    def test_partial_allocation_failure_releases_earlier_segments(
-        self, monkeypatch
-    ):
-        import repro.engine.backends.pool as pool_mod
-
-        created = []
-        real = pool_mod.create_shm
-
-        def flaky(nbytes):
-            if created:
-                raise OSError("out of segments")
-            shm = real(nbytes)
-            created.append(shm.name)
-            return shm
-
-        monkeypatch.setattr(pool_mod, "create_shm", flaky)
-        with pytest.raises(OSError):
-            with pool_mod.shm_segments(64, 128):
-                pass  # pragma: no cover - never entered
-        assert created and created[0] not in _LIVE_SHM
-
-    def test_sweep_reclaims_orphans(self):
-        shm = create_shm(64)
-        name = shm.name
-        shm.close()  # owner died without unlinking
-        assert name in _LIVE_SHM
-        assert sweep_orphan_shm() >= 1
-        assert name not in _LIVE_SHM
-
 
 class TestChaosEnv:
     def test_unset_means_no_chaos(self, monkeypatch):
@@ -155,7 +99,7 @@ class TestChaosEnv:
 
 class TestSupervisedStream:
     """Kill, crash, stall, and exhaust workers; the stream summary must
-    match the in-process batch backend bit for bit."""
+    match the in-process stream bit for bit."""
 
     @pytest.mark.parametrize("mode", ["kill", "exit"])
     def test_worker_death_is_retried_and_identical(
@@ -163,8 +107,7 @@ class TestSupervisedStream:
     ):
         _set_chaos(monkeypatch, mode, _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3)
-            got = backend.run_stream(_switch(), SPEC)
+            got = run_stream(_switch(), SPEC, workers=3)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.shard_retries", 0) >= 1
@@ -175,8 +118,7 @@ class TestSupervisedStream:
     ):
         _set_chaos(monkeypatch, "raise", _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3)
-            got = backend.run_stream(_switch(), SPEC)
+            got = run_stream(_switch(), SPEC, workers=3)
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.shard_retries", 0) >= 1
@@ -186,8 +128,10 @@ class TestSupervisedStream:
     def test_deadline_expiry_kills_and_retries(self, tmp_path, monkeypatch):
         _set_chaos(monkeypatch, "sleep:0:60", _chaos_token(tmp_path))
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3, deadline_s=1.0)
-            got = backend.run_stream(_switch(), SPEC)
+            got = run_stream(
+                _switch(), SPEC, workers=3,
+                policy=SupervisorPolicy(deadline_s=1.0),
+            )
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.shard_timeouts", 0) >= 1
@@ -199,31 +143,20 @@ class TestSupervisedStream:
         # chaos payload stripped — and still produce identical output.
         _set_chaos(monkeypatch, "raise:2")
         with obs.collecting() as registry:
-            backend = get_backend("process", workers=3, max_retries=1)
-            got = backend.run_stream(_switch(), SPEC)
+            got = run_stream(
+                _switch(), SPEC, workers=3,
+                policy=SupervisorPolicy(max_retries=1),
+            )
         assert got == _stream_ref()
         counters = registry.snapshot()["counters"]
         assert counters.get("engine.degraded_fallbacks", 0) >= 1
 
     def test_degradation_disabled_raises_execution_error(self, monkeypatch):
         _set_chaos(monkeypatch, "raise:2")
-        backend = get_backend(
-            "process", workers=3, max_retries=1, degrade=False,
-        )
+        policy = SupervisorPolicy(max_retries=1, degrade=False)
         with pytest.raises(ExecutionError) as excinfo:
-            backend.run_stream(_switch(), SPEC)
+            run_stream(_switch(), SPEC, workers=3, policy=policy)
         assert exit_code_for(excinfo.value) == 3
-
-    def test_no_shm_leaked_after_chaos(self, tmp_path, rng, monkeypatch):
-        # run_trials crosses shared memory; kill a worker mid-round and
-        # check the parent's segment registry drains.
-        _set_chaos(monkeypatch, "kill", _chaos_token(tmp_path))
-        backend = get_backend("process", workers=2, shard_trials=64)
-        valid = rng.random((256, 16)) < 0.5
-        batch = backend.run_trials(_switch(), valid)
-        ref = get_backend("batch").run_trials(_switch(), valid)
-        assert (batch.input_to_output == ref.input_to_output).all()
-        assert not _LIVE_SHM
 
 
 class TestCertifyChaos:

@@ -271,16 +271,15 @@ class TestAnalyzeJournal:
 
 
 def _traced_stream_spans(workers: int) -> list[dict]:
-    from repro.engine.backends.base import StreamSpec
-    from repro.engine.backends.sharded import ShardedBackend
+    from repro.engine import StreamSpec, run_stream
     from repro.switches.perfect import PerfectConcentrator
 
-    backend = ShardedBackend(workers=workers, shard_trials=8)
     switch = PerfectConcentrator(8, 6)
     with obs.collecting() as registry:
         registry.tracer.context = TraceContext(trace_id="t-backend")
-        backend.run_stream(
-            switch, StreamSpec(trials=16, load="half", seed=3, shard_trials=8)
+        run_stream(
+            switch, StreamSpec(trials=16, seed=3, shard_trials=8),
+            workers=workers,
         )
     return registry.snapshot()["spans"]["events"]
 
@@ -317,17 +316,13 @@ class TestShardedBackendPropagation:
         assert tree["untraced"] == 0
 
     def test_disabled_registry_ships_nothing(self):
-        from repro.engine.backends.base import StreamSpec
-        from repro.engine.backends.sharded import ShardedBackend
+        from repro.engine import StreamSpec, run_stream
         from repro.switches.perfect import PerfectConcentrator
 
-        backend = ShardedBackend(workers=1, shard_trials=8)
         switch = PerfectConcentrator(8, 6)
         # No collecting scope: the null registry must not blow up on
         # tracer access (it has none).
-        summary = backend.run_stream(
-            switch, StreamSpec(trials=16, load="half", seed=3)
-        )
+        summary = run_stream(switch, StreamSpec(trials=16, seed=3))
         assert summary.trials == 16
 
 
